@@ -28,7 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .grams import ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, lex_index
+from .grams import (
+    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, gram_at, lex_index,
+)
 from .graphs import SearchBudgetExceeded, build_graph
 
 _MASK = (1 << 64) - 1
@@ -163,7 +165,7 @@ def transmit(
         if whole_gram:
             old_rank = lex_index(old, q, ell)
             new_rank = (old_rank + 1 + rng.below(q**ell - 1)) % q**ell
-            new_gram = _gram_of_rank(new_rank, q, ell)
+            new_gram = gram_at(new_rank, q, ell)
         else:
             inside = rng.below(ell)
             new_symbol = (old[inside] + 1 + rng.below(q - 1)) % q
@@ -171,14 +173,6 @@ def transmit(
         gram_subs.append((idx, new_gram))
     trace = ChannelTrace(seed, tuple(synthesis), dropped, tuple(gram_subs))
     return inject(x, ell, trace), trace
-
-
-def _gram_of_rank(rank, q, ell):
-    out = []
-    for _ in range(ell):
-        rank, r = divmod(rank, q)
-        out.append(r)
-    return tuple(reversed(out))
 
 
 def trace_to_json(trace: ChannelTrace) -> str:
@@ -290,11 +284,6 @@ def cycle_decomposition(q: int, ell: int, budget: int = 5_000_000):
 def _trail_partition(graph, count, length, closed_only, budget):
     n_arcs = graph.n_arcs
     used = [False] * n_arcs
-    out_by_node = [[] for _ in range(graph.n_nodes)]
-    in_by_node = [[] for _ in range(graph.n_nodes)]
-    for a in range(n_arcs):
-        out_by_node[graph.arc_init[a]].append(a)
-        in_by_node[graph.arc_term[a]].append(a)
     trails: list[list[int]] = []
     steps = [0]
 
@@ -314,7 +303,7 @@ def _trail_partition(graph, count, length, closed_only, budget):
             trails.pop()
             return False
         node = graph.arc_term[trail[-1]]
-        for a in out_by_node[node]:
+        for a in graph.out_arcs(node):
             if used[a]:
                 continue
             used[a] = True
@@ -330,7 +319,7 @@ def _trail_partition(graph, count, length, closed_only, budget):
             return forward(trail, remaining)
         bump()
         node = graph.arc_init[trail[0]]
-        for a in in_by_node[node]:
+        for a in graph.in_adj[node]:
             if used[a]:
                 continue
             used[a] = True

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from . import aecc, channel, codec, grams, graphs, lattice
@@ -78,21 +79,19 @@ def echo_config(args, keys):
 
 
 def parse_set(tokens) -> grams.GramSet:
+    """Gram set from --set tokens; an explicit set is read from a "q ell" file."""
     if len(tokens) < 2:
         raise ValueError("--set needs: full q ell | weight q ell q* w1 w2 | explicit file")
     kind = tokens[0]
-    if kind == "full":
-        return grams.full_gram_set(int(tokens[1]), int(tokens[2]))
-    if kind == "weight":
-        q, ell, q_star, w1, w2 = (int(t) for t in tokens[1:6])
-        return grams.build_weight_set(q, ell, q_star, w1, w2)
     if kind == "explicit":
         with open(tokens[1]) as handle:
             lines = [ln.split() for ln in handle if ln.strip()]
         q, ell = int(lines[0][0]), int(lines[0][1])
         gram_list = [tuple(int(c) for c in tok) for row in lines[1:] for tok in row]
         return grams.explicit_gram_set(q, ell, gram_list)
-    raise ValueError(f"unknown set kind {kind!r}")
+    if len(tokens) < 3:
+        raise ValueError(f"--set {kind} needs q and ell")
+    return grams.parse_gram_set_spec(int(tokens[1]), int(tokens[2]), [kind, *tokens[3:]])
 
 
 def parse_word_arg(text, q) -> grams.Word:
@@ -243,7 +242,7 @@ def cmd_grc_build(args):
         if args.m is None or args.distance is None:
             raise ValueError("systematic grc needs --m and --distance")
         layout = codec.systematic_layout(graphs.build_graph(s), args.m)
-        words = _all_messages(args.m, len(layout.info_positions))
+        words = product(range(args.m), repeat=len(layout.info_positions))
         book = codec.systematic_grc(words, layout, args.n, args.distance)
     emit("codewords", len(book))
     emit("distance", book.distance)
@@ -255,13 +254,6 @@ def cmd_grc_build(args):
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _all_messages(m, length):
-    if length == 0:
-        return [()]
-    shorter = _all_messages(m, length - 1)
-    return [w + (v,) for w in shorter for v in range(m)]
 
 
 def cmd_encode(args):
@@ -401,9 +393,7 @@ def cmd_roundtrip(args):
         emit("word", grams.word_text(word_out))
         observed = _maybe_noise(args, word_out, s.ell)
         emit("observed", observed.counts)
-        book = codec.systematic_grc(
-            _all_messages(2, 3), layout, n, distance=1
-        )
+        book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
         result = codec.decode_profile(book, observed.counts)
         decoded = tuple(result.codeword[a] for a in layout.info_positions)
         emit("decoded-message", decoded)
@@ -430,10 +420,7 @@ def cmd_roundtrip(args):
 def _maybe_noise(args, word_out, ell):
     budget = grams.ChannelBudget(args.ssyn, args.t, args.sseq)
     if budget == grams.ChannelBudget():
-        counts = [0] * word_out.q**ell
-        for g in word_out.grams(ell):
-            counts[grams.lex_index(g, word_out.q, ell)] += 1
-        return grams.ProfileVector(tuple(counts))
+        return channel.inject(word_out, ell, channel.ChannelTrace(None, (), (), ()))
     if args.seed is None:
         raise ValueError("noisy roundtrip needs --seed")
     observed, _trace = channel.transmit(word_out, ell, budget, args.seed)

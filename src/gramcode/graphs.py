@@ -35,6 +35,11 @@ class DeBruijnGraph:
     arc_init: tuple[int, ...]
     arc_term: tuple[int, ...]
     _node_index: dict = field(repr=False, compare=False, hash=False, default=None)
+    # Adjacency built once by build_graph: the arcs leaving and entering
+    # each node, in gram order, and the arc joining each node pair.
+    out_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
+    in_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
+    arc_of: dict = field(repr=False, compare=False, hash=False, default=None)
 
     @property
     def n_nodes(self):
@@ -54,23 +59,19 @@ class DeBruijnGraph:
         return self.arc_init[arc] == self.arc_term[arc]
 
     def loops(self) -> list[int]:
-        return [a for a in range(self.n_arcs) if self.is_loop(a)]
+        return [self.arc_of[v, v] for v in range(self.n_nodes) if (v, v) in self.arc_of]
 
-    def out_arcs(self, v: int) -> list[int]:
-        return [a for a in range(self.n_arcs) if self.arc_init[a] == v]
-
-    def in_arcs(self, v: int) -> list[int]:
-        return [a for a in range(self.n_arcs) if self.arc_term[a] == v]
+    def out_arcs(self, v: int) -> tuple[int, ...]:
+        """Arcs leaving v in gram order, which is ascending terminal node."""
+        return self.out_adj[v]
 
     def arc_between(self, u: int, v: int) -> int | None:
         """Arc index from node u to node v, or None.  Arcs are simple in D(S)."""
-        for a in range(self.n_arcs):
-            if self.arc_init[a] == u and self.arc_term[a] == v:
-                return a
-        return None
+        return self.arc_of.get((u, v))
 
     def successors(self, v: int) -> list[int]:
-        return sorted({self.arc_term[a] for a in self.out_arcs(v)})
+        """Terminal nodes of the arcs leaving v, ascending."""
+        return [self.arc_term[a] for a in self.out_adj[v]]
 
 
 def build_graph(s: GramSet) -> DeBruijnGraph:
@@ -83,9 +84,17 @@ def build_graph(s: GramSet) -> DeBruijnGraph:
     index = {v: i for i, v in enumerate(nodes)}
     arc_init = tuple(index[g[:-1]] for g in s.grams)
     arc_term = tuple(index[g[1:]] for g in s.grams)
-    g = DeBruijnGraph(s, nodes, arc_init, arc_term)
-    object.__setattr__(g, "_node_index", index)
-    return g
+    out_adj = [[] for _ in nodes]
+    in_adj = [[] for _ in nodes]
+    arc_of = {}
+    for a, (u, v) in enumerate(zip(arc_init, arc_term)):
+        out_adj[u].append(a)
+        in_adj[v].append(a)
+        arc_of[u, v] = a
+    return DeBruijnGraph(
+        s, nodes, arc_init, arc_term, index,
+        tuple(map(tuple, out_adj)), tuple(map(tuple, in_adj)), arc_of,
+    )
 
 
 def incidence(graph: DeBruijnGraph) -> list[list[int]]:
@@ -134,7 +143,6 @@ def integer_rank(matrix) -> int:
 def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
     """Tarjan SCCs, returned as sorted node-index lists, sorted by least node."""
     n = graph.n_nodes
-    succ = [graph.successors(v) for v in range(n)]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -154,8 +162,9 @@ def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            succ = graph.successors(v)
+            for i in range(pi, len(succ)):
+                w = succ[i]
                 if index[w] == -1:
                     work.append((v, i + 1))
                     work.append((w, 0))
@@ -241,14 +250,7 @@ def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
     else:
         raise ValueError("arc multiset is neither balanced nor a single open walk")
 
-    # Out-arcs per node sorted by terminal node; distinct out-arcs of a node
-    # always have distinct terminals, so the order is well defined.
-    out: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    for a, m in enumerate(mult):
-        if m:
-            out[graph.arc_init[a]].append(a)
-    for v in range(graph.n_nodes):
-        out[v].sort(key=lambda a: graph.nodes[graph.arc_term[a]])
+    out = graph.out_adj
     cursor = [0] * graph.n_nodes
 
     stack = [start]
@@ -306,7 +308,6 @@ def hamiltonian_cycle(
         return _rotate_min(cycle)
 
     n = graph.n_nodes
-    succ = [graph.successors(v) for v in range(n)]
     visited = [False] * n
     path = [0]
     visited[0] = True
@@ -316,8 +317,8 @@ def hamiltonian_cycle(
         nonlocal steps
         v = path[-1]
         if len(path) == n:
-            return 0 in succ[v]
-        for w in succ[v]:
+            return 0 in graph.successors(v)
+        for w in graph.successors(v):
             if visited[w]:
                 continue
             steps += 1
@@ -351,7 +352,6 @@ def simple_cycle_lengths(graph: DeBruijnGraph) -> set[int]:
     lengths 1..|V| have been seen.
     """
     n = graph.n_nodes
-    succ = [graph.successors(v) for v in range(n)]
     lengths: set[int] = set()
 
     for root in range(n):
@@ -361,7 +361,7 @@ def simple_cycle_lengths(graph: DeBruijnGraph) -> set[int]:
         on_path[root] = True
 
         def dfs(v: int, depth: int):
-            for w in succ[v]:
+            for w in graph.successors(v):
                 if w == root:
                     lengths.add(depth)
                 elif w > root and not on_path[w]:

@@ -4,9 +4,14 @@ The feasible profiles of closed words form the integer points of the
 system  A(S) u = M b,  u >= 0  (or u > 0 for the interior), where A(S)
 is the incidence matrix topped with an all-ones row and M is the number
 of grams in a word.  Points are enumerated by a depth-first scan over
-the arc coordinates in lexicographic order, with interval propagation:
-remaining-sum bounds, per-node imbalance reachability, and forced
-values once a node's incident arcs are exhausted.  An optional modular
+the arc coordinates, one level per arc, so they come out in ascending
+lexicographic order.  A static level plan, built once per system,
+classifies the levels: a *forced* level's arc closes one of its
+endpoints, so its value follows from the earlier levels; a *decision*
+level ranges over an interval; the last decision is *pinned*, solved
+from the remaining total.  Intervals come from remaining-sum bounds,
+per-node imbalance reachability, and each endpoint's balance once its
+in- or out-arcs are exhausted.  An optional modular
 block (H, p, beta) restricts points to a congruence class, which is how
 code intersections are counted.  Everything is exact: integers and
 Fractions only.
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grams import GramSet, ProfileVector
+from .grams import GramSet
 from .graphs import DeBruijnGraph, build_graph
 
 BRUTE_FORCE_GUARD = 10**8
@@ -81,160 +86,110 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
     return FlowSystem(graph, n - graph.gram_set.ell + 1, mode, congruence)
 
 
-def _setup(system: FlowSystem):
-    """Shared DFS preamble: transformed totals, targets and arc metadata."""
+def _plan(system: FlowSystem):
+    """The static level plan of the DFS: one pass over the arc order.
+
+    Mode E substitutes u = 1 + u', which lowers the total by |S| and
+    gives every node a target imbalance.  Level i assigns arc i = (a, b).
+    After it, a side of a node is *done* when no later non-loop arc
+    enters it (in) or leaves it (out); the DFS then bounds the value by
+    that node's missing balance.  A non-loop arc that closes one of its
+    endpoints on both sides is *forced*: its value is an integer affine
+    form in the decisions.  Every other arc, loops included, is a
+    *decision*.  So the sum over the levels from the last decision on is
+    affine in the decisions; solved against the remaining total it fixes
+    that last decision, the *pinned* level, which removes one search
+    dimension.  No level is pinned when there are no decisions or the
+    last one has zero net weight.
+
+    Returns (levels, total, targets, pinned_arc, weights, pin_const).
+    levels[i] = (a, b, k, a_in_done, a_out_done, b_in_done, b_out_done)
+    with k the decision index of level i, or -1 on a forced level;
+    pinned_arc is the pinned level, or -1.  The pinned decision's value
+    is rem - pin_const minus weights[k] * (decision k) for each earlier
+    decision k, divided by weights[-1].
+    """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
-    nnodes = graph.n_nodes
-    targets = [0] * nnodes
-    base = 0
+    targets = [0] * graph.n_nodes
     total = system.m_total
     if system.mode == "E":
-        base = 1
         total -= len(arcs)
         for a, b in arcs:
-            if a != b:
-                targets[a] += 1
-                targets[b] -= 1
-    in_rem = [0] * nnodes
-    out_rem = [0] * nnodes
+            targets[a] += 1
+            targets[b] -= 1
+    in_left = [0] * graph.n_nodes
+    out_left = [0] * graph.n_nodes
     for a, b in arcs:
         if a != b:
-            out_rem[a] += 1
-            in_rem[b] += 1
-    cong = system.congruence
-    res = None
-    cols = None
-    if cong is not None:
-        p = cong.p
-        cols = [tuple(row[i] for row in cong.rows) for i in range(len(arcs))]
-        res = [0] * len(cong.rows)
-        if base:
-            for col in cols:
-                for j, h in enumerate(col):
-                    res[j] = (res[j] + h) % p
-    return arcs, total, targets, in_rem, out_rem, base, cols, res
+            out_left[a] += 1
+            in_left[b] += 1
 
-
-def _presolve(arcs, nnodes):
-    """Static pass over the arc order: decisions vs forced levels, plus the
-    sum-pinned decision.
-
-    Classifies each level the way the runtime interval rules will: an arc
-    whose assignment closes one of its endpoints has a forced value; the
-    rest are free decisions.  Every arc value is an integer affine form in
-    the decisions, so the total consumed by levels >= i* is affine in the
-    decisions; solving that against the remaining sum at the last decision
-    level i* removes one whole search dimension.  Returns (pinned_arc,
-    pinned_dec, arc_dec, weights), with pinned_arc = -1 when no usable
-    pinning exists (no decisions, or the last one has zero net weight).
-    """
-    n = len(arcs)
-    in_rem = [0] * nnodes
-    out_rem = [0] * nnodes
-    for a, b in arcs:
-        if a != b:
-            out_rem[a] += 1
-            in_rem[b] += 1
-    zero: dict[int, int] = {}
-    miss_f = [dict(zero) for _ in range(nnodes)]
-    forms: list[dict[int, int]] = []
-    arc_dec = [-1] * n
+    # Affine forms are {decision index: coefficient}, the key -1 holding
+    # the constant.  miss[v] is node v's missing balance as such a form.
+    miss = [{-1: t} if t else {} for t in targets]
+    levels = []
+    forms = []
     ndec = 0
-
-    def add(dst, src, sign):
-        for k, c in src.items():
-            dst[k] = dst.get(k, 0) + sign * c
-            if dst[k] == 0:
-                del dst[k]
-
+    last_dec = len(arcs)
     for i, (a, b) in enumerate(arcs):
-        if a == b:
-            form = {ndec: 1}
-            arc_dec[i] = ndec
-            ndec += 1
+        done = (False, False, False, False)
+        if a != b:
+            out_left[a] -= 1
+            in_left[b] -= 1
+            done = (in_left[a] == 0, out_left[a] == 0, in_left[b] == 0, out_left[b] == 0)
+        k = -1
+        if done[0] and done[1]:
+            form = {key: -c for key, c in miss[a].items()}
+        elif done[2] and done[3]:
+            form = dict(miss[b])
         else:
-            out_rem[a] -= 1
-            in_rem[b] -= 1
-            if in_rem[a] == 0 and out_rem[a] == 0:
-                form = {}
-                add(form, miss_f[a], -1)
-            elif in_rem[b] == 0 and out_rem[b] == 0:
-                form = dict(miss_f[b])
-            else:
-                form = {ndec: 1}
-                arc_dec[i] = ndec
-                ndec += 1
-            add(miss_f[a], form, 1)
-            add(miss_f[b], form, -1)
+            k, last_dec = ndec, i
+            ndec += 1
+            form = {k: 1}
+        if a != b:
+            for key, c in form.items():
+                miss[a][key] = miss[a].get(key, 0) + c
+                miss[b][key] = miss[b].get(key, 0) - c
+        levels.append((a, b, k) + done)
         forms.append(form)
 
-    if ndec == 0:
-        return -1, -1, arc_dec, ()
-    pinned_arc = max(i for i in range(n) if arc_dec[i] >= 0)
-    pinned_dec = arc_dec[pinned_arc]
-    # Aggregate consumption of levels >= pinned_arc as an affine form over
-    # the decisions (constants enter separately via the runtime targets).
     weights = [0] * ndec
-    for i in range(pinned_arc, n):
-        for k, c in forms[i].items():
-            weights[k] += c
-    if weights[pinned_dec] == 0:
-        return -1, -1, arc_dec, ()
-    return pinned_arc, pinned_dec, arc_dec, tuple(weights)
-
-
-def _forced_constants(arcs, nnodes, targets):
-    """Constant part of each forced arc's affine form (decisions set to 0)."""
-    n = len(arcs)
-    in_rem = [0] * nnodes
-    out_rem = [0] * nnodes
-    for a, b in arcs:
-        if a != b:
-            out_rem[a] += 1
-            in_rem[b] += 1
-    miss_c = list(targets)
-    consts = [0] * n
-    for i, (a, b) in enumerate(arcs):
-        if a == b:
-            value = 0
-        else:
-            out_rem[a] -= 1
-            in_rem[b] -= 1
-            if in_rem[a] == 0 and out_rem[a] == 0:
-                value = -miss_c[a]
-            elif in_rem[b] == 0 and out_rem[b] == 0:
-                value = miss_c[b]
+    pin_const = 0
+    for form in forms[last_dec:]:
+        for key, c in form.items():
+            if key < 0:
+                pin_const += c
             else:
-                value = 0
-            miss_c[a] += value
-            miss_c[b] -= value
-        consts[i] = value
-    return consts
+                weights[key] += c
+    pinned_arc = last_dec if ndec and weights[-1] else -1
+    return levels, total, targets, pinned_arc, weights, pin_const
 
 
 def _scan(system: FlowSystem, emit):
     """Depth-first scan calling emit(values) for every point (pre-base-shift)."""
-    arcs, total, targets, in_rem, out_rem, base, cols, res = _setup(system)
+    levels, total, miss, pinned_arc, weights, pin_const = _plan(system)
     if total < 0:
         return
-    n = len(arcs)
-    miss = list(targets)
+    n = len(levels)
     pos0 = sum(m for m in miss if m > 0)
     if pos0 != -sum(m for m in miss if m < 0):
         return
     vals = [0] * n
     cong = system.congruence
-    p = cong.p if cong is not None else 0
-    beta = list(cong.beta) if cong is not None else None
+    p, beta, cols, res = 0, None, None, None
+    if cong is not None:
+        p = cong.p
+        beta = list(cong.beta)
+        cols = [tuple(row[i] for row in cong.rows) for i in range(n)]
+        res = [0] * len(cong.rows)
+        if system.mode == "E":
+            for col in cols:
+                for j, h in enumerate(col):
+                    res[j] = (res[j] + h) % p
     last = n - 1
-
-    pinned_arc, pinned_dec, arc_dec, weights = _presolve(arcs, len(targets))
-    pin_const = 0
-    if pinned_arc >= 0:
-        consts = _forced_constants(arcs, len(targets), targets)
-        pin_const = sum(consts[pinned_arc:])
-    dec_vals = [0] * (pinned_dec + 1 if pinned_arc >= 0 else 0)
+    pinned_dec = len(weights) - 1
+    dec_vals = [0] * len(weights)
 
     def pinned_value(rem):
         """The unique value balancing the total at the pinned level, or None."""
@@ -251,8 +206,7 @@ def _scan(system: FlowSystem, emit):
             if rem == 0 and pos == 0 and (beta is None or res == beta):
                 emit(vals)
             return
-        a, b = arcs[i]
-        k = arc_dec[i] if pinned_arc >= 0 else -1
+        a, b, k, a_in, a_out, b_in, b_out = levels[i]
         if a == b:
             hi = rem - pos
             lo = 0
@@ -283,28 +237,16 @@ def _scan(system: FlowSystem, emit):
                 res[:] = saved
             return
 
-        out_rem[a] -= 1
-        in_rem[b] -= 1
         ma = miss[a]
         mb = miss[b]
         lo, hi = 0, rem
-        ra_in, ra_out = in_rem[a], out_rem[a]
-        rb_in, rb_out = in_rem[b], out_rem[b]
-        if ra_in == 0:
-            if ra_out == 0:
-                lo = max(lo, -ma)
-                hi = min(hi, -ma)
-            else:
-                hi = min(hi, -ma)
-        elif ra_out == 0:
+        if a_in:
+            hi = min(hi, -ma)
+        if a_out:
             lo = max(lo, -ma)
-        if rb_in == 0:
-            if rb_out == 0:
-                lo = max(lo, mb)
-                hi = min(hi, mb)
-            else:
-                lo = max(lo, mb)
-        elif rb_out == 0:
+        if b_in:
+            lo = max(lo, mb)
+        if b_out:
             hi = min(hi, mb)
         if i == last:
             lo = max(lo, rem)
@@ -312,38 +254,36 @@ def _scan(system: FlowSystem, emit):
         if i == pinned_arc:
             pv = pinned_value(rem)
             if pv is None:
-                lo, hi = 1, 0
-            else:
-                lo = max(lo, pv)
-                hi = min(hi, pv)
-        if lo <= hi:
-            pos_rest = pos - (ma if ma > 0 else 0) - (mb if mb > 0 else 0)
-            if beta is not None:
-                col = cols[i]
-                saved = res[:]
+                return
+            lo = max(lo, pv)
+            hi = min(hi, pv)
+        if lo > hi:
+            return
+        pos_rest = pos - (ma if ma > 0 else 0) - (mb if mb > 0 else 0)
+        if beta is not None:
+            col = cols[i]
+            saved = res[:]
+            for j, h in enumerate(col):
+                res[j] = (res[j] + h * lo) % p
+        for c in range(lo, hi + 1):
+            na = ma + c
+            nb = mb - c
+            npos = pos_rest + (na if na > 0 else 0) + (nb if nb > 0 else 0)
+            if npos + c > rem:
+                break
+            if k >= 0:
+                dec_vals[k] = c
+            miss[a] = na
+            miss[b] = nb
+            vals[i] = c
+            rec(i + 1, rem - c, npos)
+            if beta is not None and c < hi:
                 for j, h in enumerate(col):
-                    res[j] = (res[j] + h * lo) % p
-            for c in range(lo, hi + 1):
-                na = ma + c
-                nb = mb - c
-                npos = pos_rest + (na if na > 0 else 0) + (nb if nb > 0 else 0)
-                if npos + c > rem:
-                    break
-                if k >= 0:
-                    dec_vals[k] = c
-                miss[a] = na
-                miss[b] = nb
-                vals[i] = c
-                rec(i + 1, rem - c, npos)
-                if beta is not None and c < hi:
-                    for j, h in enumerate(col):
-                        res[j] = (res[j] + h) % p
-            miss[a] = ma
-            miss[b] = mb
-            if beta is not None:
-                res[:] = saved
-        out_rem[a] += 1
-        in_rem[b] += 1
+                    res[j] = (res[j] + h) % p
+        miss[a] = ma
+        miss[b] = mb
+        if beta is not None:
+            res[:] = saved
 
     rec(0, total, pos0)
 
@@ -527,7 +467,3 @@ def monotonicity_check(s: GramSet, m_max: int, mode: str = "F") -> bool:
         prev = cur
     return True
 
-
-def profile_points(system: FlowSystem):
-    """enumerate_points wrapped into ProfileVector values."""
-    return [ProfileVector(pt) for pt in enumerate_points(system)]

@@ -89,6 +89,8 @@ def test_simulate_requires_seed():
 def test_validation_error_exit_code():
     status, _ = run_cli("graph-info", "--set", "weight", "2", "4", "9", "2", "3")
     assert status == 2
+    status, _ = run_cli("graph-info", "--set", "full", "2")
+    assert status == 2
     status, _ = run_cli("--threads", "0", "graph-info", "--set", "full", "2", "2")
     assert status == 2
 

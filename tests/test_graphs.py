@@ -43,6 +43,25 @@ def test_build_graph_single_loop():
     assert g.n_nodes == 1 and g.n_arcs == 1 and g.is_loop(0)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [full_gram_set(2, 3), full_gram_set(3, 2), build_weight_set(2, 4, 1, 2, 3),
+     TWO_COMPONENT_SET],
+    ids=["full23", "full32", "weight", "two_component"],
+)
+def test_adjacency_matches_arc_scan(s):
+    g = build_graph(s)
+    ends = list(zip(g.arc_init, g.arc_term))
+    for u in range(g.n_nodes):
+        assert list(g.out_arcs(u)) == [a for a, (i, _t) in enumerate(ends) if i == u]
+        assert list(g.in_adj[u]) == [a for a, (_i, t) in enumerate(ends) if t == u]
+        assert g.successors(u) == sorted({t for i, t in ends if i == u})
+        for v in range(g.n_nodes):
+            scan = [a for a, pair in enumerate(ends) if pair == (u, v)]
+            assert g.arc_between(u, v) == (scan[0] if scan else None)
+    assert g.loops() == [a for a, (i, t) in enumerate(ends) if i == t]
+
+
 def test_incidence_structure():
     g = build_graph(full_gram_set(2, 2))
     m = incidence(g)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
-from gramcode.graphs import build_graph
+from gramcode.graphs import build_graph, incidence
 from gramcode.lattice import (
     CongruenceBlock,
     FitMismatch,
@@ -20,6 +21,7 @@ from gramcode.lattice import (
 
 S22 = full_gram_set(2, 2)
 S23 = full_gram_set(2, 3)
+S32 = full_gram_set(3, 2)
 SW = build_weight_set(2, 4, 1, 2, 3)
 TWO_COMPONENT_SET = explicit_gram_set(
     4, 2, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 3)]
@@ -35,16 +37,33 @@ def test_small_flow_count():
         assert sum(u) == 3 and u[1] == u[2]
 
 
-def test_enumeration_is_duplicate_free_and_exhaustive():
-    g = build_graph(S23)
+@pytest.mark.parametrize("s", [S23, SW, S32], ids=["S23", "SW", "S32"])
+def test_enumeration_is_duplicate_free_and_exhaustive(s):
+    g = build_graph(s)
     for m in range(0, 16):
         for mode in ("F", "E"):
             pts = enumerate_points(flow_system(g, m, mode))
             assert len(pts) == len(set(pts)) == count_points(flow_system(g, m, mode))
+            # the DFS emits points in ascending lexicographic order
+            assert pts == sorted(pts)
             for u in pts:
                 assert sum(u) == m
                 if mode == "E":
                     assert min(u) >= 1
+
+
+def test_unbalanced_graph_matches_composition_scan():
+    # In-degree differs from out-degree here, so mode E gives the nodes
+    # nonzero targets and the forced and pinned levels nonzero constants.
+    g = build_graph(explicit_gram_set(3, 2, [(0, 1), (1, 0), (1, 2), (2, 0)]))
+    rows = incidence(g)
+    for mode, low in (("F", 0), ("E", 1)):
+        for m in range(0, 13):
+            scan = [
+                u for u in product(range(low, m + 1), repeat=g.n_arcs)
+                if sum(u) == m and not any(sum(r * c for r, c in zip(row, u)) for row in rows)
+            ]
+            assert enumerate_points(flow_system(g, m, mode)) == scan
 
 
 def test_infeasible_systems_are_empty():
@@ -89,15 +108,20 @@ def test_interior_closed_feasible_sandwich(s):
         assert interior <= closed <= feasible
 
 
-def test_congruence_count_matches_filtering():
-    g = build_graph(S23)
-    rows = ((1, 2, 3, 4, 5, 6, 7, 8),)
+@pytest.mark.parametrize("mode", ["F", "E"])
+@pytest.mark.parametrize(
+    "s", [S23, S32, SW, TWO_COMPONENT_SET], ids=["S23", "S32", "SW", "TWO_COMPONENT"]
+)
+def test_congruence_count_matches_filtering(s, mode):
+    g = build_graph(s)
+    rows = (tuple(range(1, g.n_arcs + 1)),)
     block = CongruenceBlock(rows, 5, (2,))
-    for m in (6, 9, 12):
-        plain = enumerate_points(flow_system(g, m, "F"))
+    shift = g.n_arcs if mode == "E" else 0
+    for m in (6 + shift, 9 + shift, 12 + shift):
+        plain = enumerate_points(flow_system(g, m, mode))
         filtered = [u for u in plain if sum(h * c for h, c in zip(rows[0], u)) % 5 == 2]
-        assert count_points(flow_system(g, m, "F", block)) == len(filtered)
-        assert enumerate_points(flow_system(g, m, "F", block)) == filtered
+        assert count_points(flow_system(g, m, mode, block)) == len(filtered)
+        assert enumerate_points(flow_system(g, m, mode, block)) == filtered
 
 
 def test_congruence_count_interior_mode():
