@@ -47,7 +47,6 @@ from .lattice import (
     count_points,
     enumerate_points,
     fit_quasipolynomial,
-    flow_system,
     flow_system_for_words,
     monotonicity_check,
     reciprocity_check,

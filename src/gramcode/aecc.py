@@ -11,6 +11,7 @@ targets; membership and sizing are plain modular arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .grams import asym_distance
 
@@ -148,32 +149,26 @@ def code_size_ambient(code: VarshamovCode, m: int) -> int:
     return table[key]
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def decode_bounded(code: VarshamovCode, received, max_weight: int):
     """Recover the codeword from an asymmetric (all-decreasing) error.
 
-    Tries error patterns e >= 0 in increasing L1 weight and returns the
-    unique codeword received + e.  Two hits at the same weight raise
-    AmbiguousDecode (the error exceeded the design guarantee); exhausting
-    max_weight raises DecodeFailure.
+    Tries error patterns e >= 0 in increasing L1 weight, each as the
+    multiset of coordinates it raises, and returns the unique codeword
+    received + e.  Two hits at the same weight raise AmbiguousDecode
+    (the error exceeded the design guarantee); exhausting max_weight
+    raises DecodeFailure.
     """
     received = tuple(received)
     if len(received) != code.length:
         raise ValueError(f"vector length {len(received)} != {code.length}")
     for w in range(max_weight + 1):
         hits = []
-        for e in _compositions(w, code.length):
-            candidate = tuple(r + x for r, x in zip(received, e))
+        for support in combinations_with_replacement(range(code.length), w):
+            candidate = list(received)
+            for i in support:
+                candidate[i] += 1
             if code.is_member(candidate):
-                hits.append(candidate)
+                hits.append(tuple(candidate))
                 if len(hits) > 1:
                     raise AmbiguousDecode(
                         f"two codewords at error weight {w}: {hits[0]} and {hits[1]}"
@@ -229,4 +224,6 @@ def parse_code_file(text: str) -> VarshamovCode:
         alphas = tuple(int(x) for x in fields["alphas"])
     except KeyError as missing:
         raise ValueError(f"code file is missing the {missing} line") from None
+    except IndexError:
+        raise ValueError("code file p and d lines need a value") from None
     return build_code(p, alphas, d, beta)

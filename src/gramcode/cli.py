@@ -10,7 +10,6 @@ computation error (guards, budgets, infeasibility, failed decode).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from itertools import product
@@ -84,14 +83,18 @@ def parse_set(tokens) -> grams.GramSet:
         raise ValueError("--set needs: full q ell | weight q ell q* w1 w2 | explicit file")
     kind = tokens[0]
     if kind == "explicit":
+        if len(tokens) > 2:
+            raise ValueError("--set explicit takes one file")
         with open(tokens[1]) as handle:
             lines = [ln.split() for ln in handle if ln.strip()]
-        q, ell = int(lines[0][0]), int(lines[0][1])
-        gram_list = [tuple(int(c) for c in tok) for row in lines[1:] for tok in row]
-        return grams.explicit_gram_set(q, ell, gram_list)
-    if len(tokens) < 3:
+        if not lines or len(lines[0]) != 2:
+            raise ValueError('explicit set file needs a "q ell" header line')
+        (q, ell), rest = lines[0], [tok for row in lines[1:] for tok in row]
+    elif len(tokens) < 3:
         raise ValueError(f"--set {kind} needs q and ell")
-    return grams.parse_gram_set_spec(int(tokens[1]), int(tokens[2]), [kind, *tokens[3:]])
+    else:
+        q, ell, rest = tokens[1], tokens[2], tokens[3:]
+    return grams.parse_gram_set_spec(int(q), int(ell), [kind, *rest])
 
 
 def parse_word_arg(text, q) -> grams.Word:
@@ -100,9 +103,15 @@ def parse_word_arg(text, q) -> grams.Word:
     return grams.word(text, q)
 
 
-def read_profile(path):
+def _read_counts(path, s=None, n=None):
+    """Counts of a profile file whose header names s or its full cube, and n, when given."""
     with open(path) as handle:
-        return grams.parse_profile_file(handle.read())
+        s_file, n_file, counts = grams.parse_profile_file(handle.read())
+    if s is not None and s_file != s and s_file != grams.full_gram_set(s.q, s.ell):
+        raise ValueError("profile header gram set is neither S nor its full cube")
+    if n is not None and n_file != n:
+        raise ValueError(f"profile header n={n_file} does not match n={n}")
+    return counts
 
 
 def cmd_graph_info(args):
@@ -124,12 +133,9 @@ def cmd_graph_info(args):
     return 0
 
 
-def _congruence_from_args(args):
-    if getattr(args, "code", None):
-        with open(args.code) as handle:
-            code = aecc.parse_code_file(handle.read())
-        return lattice.CongruenceBlock(code.rows, code.p, code.beta)
-    return None
+def _load_code(path):
+    with open(path) as handle:
+        return aecc.parse_code_file(handle.read())
 
 
 def cmd_enumerate(args):
@@ -142,9 +148,9 @@ def cmd_enumerate(args):
             for u in sorted(profiles):
                 emit("point", u)
         return 0
-    system = lattice.flow_system_for_words(
-        graphs.build_graph(s), args.n, args.mode, _congruence_from_args(args)
-    )
+    code = _load_code(args.code) if args.code else None
+    cong = code and lattice.CongruenceBlock(code.rows, code.p, code.beta)
+    system = lattice.flow_system_for_words(graphs.build_graph(s), args.n, args.mode, cong)
     emit("total", system.m_total)
     if args.points:
         points = lattice.enumerate_points(system)
@@ -209,15 +215,10 @@ def cmd_code_build(args):
     return 0
 
 
-def _load_code(path):
-    with open(path) as handle:
-        return aecc.parse_code_file(handle.read())
-
-
 def cmd_code_check(args):
     echo_config(args, ["code", "profile"])
     code = _load_code(args.code)
-    _s, _n, counts = read_profile(args.profile)
+    counts = _read_counts(args.profile)
     emit("member", code.is_member(counts))
     emit("syndrome", code.syndrome(counts))
     return 0
@@ -226,7 +227,7 @@ def cmd_code_check(args):
 def cmd_code_decode(args):
     echo_config(args, ["code", "profile", "max-weight"])
     code = _load_code(args.code)
-    _s, _n, counts = read_profile(args.profile)
+    counts = _read_counts(args.profile)
     decoded = aecc.decode_bounded(code, counts, args.max_weight)
     emit("codeword", decoded)
     return 0
@@ -274,7 +275,7 @@ def cmd_decode(args):
     echo_config(args, ["codebook", "profile"])
     with open(args.codebook) as handle:
         book = codec.parse_codebook_file(handle.read())
-    _s, _n, counts = read_profile(args.profile)
+    counts = _read_counts(args.profile, book.gram_set, book.n)
     result = codec.decode_profile(book, counts)
     emit("index", result.index)
     emit("codeword", result.codeword)
@@ -299,7 +300,7 @@ def cmd_rank_encode(args):
 def cmd_rank_decode(args):
     echo_config(args, ["q", "ell", "profile"])
     layout = codec.rank_modulation_layout(args.q, args.ell)
-    _s, _n, counts = read_profile(args.profile)
+    counts = _read_counts(args.profile, layout.gram_set)
     perm, ties = codec.rank_readout_decode(layout, counts)
     emit("permutation", perm)
     emit("ties", ties)
@@ -432,12 +433,6 @@ def build_parser():
         prog="gramcode",
         description="l-gram profile codes: graphs, enumeration, codes, channel",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("GRAMCODE_THREADS", "1")),
-        help="upper bound on worker threads (computation is currently serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_set(p):
@@ -557,9 +552,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error --threads must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -360,12 +360,9 @@ def rank_readout_decode(layout: SystematicLayout, observed):
 #
 # Header "n q ell <set-spec> d provenance", then one profile per line.
 
-def format_codebook_file(book: GrcCodebook, spec: str | None = None) -> str:
-    spec = spec or gram_set_spec(book.gram_set)
-    lines = [
-        f"{book.n} {book.gram_set.q} {book.gram_set.ell} {spec} "
-        f"{book.distance} {book.provenance}"
-    ]
+def format_codebook_file(book: GrcCodebook) -> str:
+    s = book.gram_set
+    lines = [f"{book.n} {s.q} {s.ell} {gram_set_spec(s)} {book.distance} {book.provenance}"]
     for u in book.codewords:
         lines.append(" ".join(map(str, u)))
     return "\n".join(lines) + "\n"
@@ -373,7 +370,9 @@ def format_codebook_file(book: GrcCodebook, spec: str | None = None) -> str:
 
 def parse_codebook_file(text: str) -> GrcCodebook:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
+    if len(head) < 6:
+        raise ValueError("codebook header needs: n q ell <set-spec> d provenance")
     n, q, ell = int(head[0]), int(head[1]), int(head[2])
     provenance = head[-1]
     distance = int(head[-2])

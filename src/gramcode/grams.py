@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 DNA_LETTERS = "ATGC"
 MAX_DIGIT_ALPHABET = 9
@@ -159,9 +160,6 @@ class GramSet:
     def __contains__(self, gram):
         return tuple(gram) in self._index
 
-    def index_of(self, gram) -> int:
-        return self._index[tuple(gram)]
-
     def is_full(self) -> bool:
         return len(self.grams) == self.q**self.ell
 
@@ -295,12 +293,20 @@ class ChannelBudget:
 # space-separated counts.  <set-spec> is "full", "weight q* w1 w2", or
 # "explicit g1 g2 ..." (digit strings).
 
-def gram_set_spec(s: GramSet, q_star: int | None = None, w1: int | None = None,
-                  w2: int | None = None) -> str:
+def gram_set_spec(s: GramSet) -> str:
+    """The shortest spec naming s: full, weight (smallest q*), or explicit.
+
+    s lies inside the weight set spanning its own weights, so equal
+    sizes mean equal sets.
+    """
     if s.is_full():
         return "full"
-    if q_star is not None:
-        return f"weight {q_star} {w1} {w2}"
+    q, ell = s.q, s.ell
+    for q_star in range(1, q):
+        weights = [q_weight(g, q, q_star) for g in s.grams]
+        span = range(min(weights), max(weights) + 1)
+        if len(s) == sum(comb(ell, w) * q_star**w * (q - q_star) ** (ell - w) for w in span):
+            return f"weight {q_star} {span.start} {span.stop - 1}"
     return "explicit " + " ".join(s.label(i) for i in range(len(s)))
 
 
@@ -310,6 +316,8 @@ def parse_gram_set_spec(q: int, ell: int, tokens: list[str]) -> GramSet:
         raise ValueError("missing gram set spec")
     kind = tokens[0]
     if kind == "full":
+        if len(tokens) != 1:
+            raise ValueError("full spec takes no arguments")
         return full_gram_set(q, ell)
     if kind == "weight":
         if len(tokens) != 4:
@@ -322,9 +330,8 @@ def parse_gram_set_spec(q: int, ell: int, tokens: list[str]) -> GramSet:
     raise ValueError(f"unknown gram set spec {kind!r}")
 
 
-def format_profile_file(counts, s: GramSet, n: int, spec: str | None = None) -> str:
-    spec = spec or gram_set_spec(s)
-    header = f"{s.q} {s.ell} {spec} {n}"
+def format_profile_file(counts, s: GramSet, n: int) -> str:
+    header = f"{s.q} {s.ell} {gram_set_spec(s)} {n}"
     return header + "\n" + " ".join(str(c) for c in counts) + "\n"
 
 
@@ -334,6 +341,8 @@ def parse_profile_file(text: str):
     if len(lines) != 2:
         raise ValueError("profile file needs a header line and a counts line")
     head = lines[0].split()
+    if len(head) < 4:
+        raise ValueError("profile header needs: q ell <set-spec> n")
     q, ell = int(head[0]), int(head[1])
     n = int(head[-1])
     s = parse_gram_set_spec(q, ell, head[2:-1])

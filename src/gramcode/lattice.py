@@ -77,10 +77,6 @@ class FlowSystem:
             raise ValueError("congruence rows must have one entry per arc")
 
 
-def flow_system(graph, m_total, mode="F", congruence=None) -> FlowSystem:
-    return FlowSystem(graph, m_total, mode, congruence)
-
-
 def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
     """System whose points are profiles of closed words of length n."""
     return FlowSystem(graph, n - graph.gram_set.ell + 1, mode, congruence)

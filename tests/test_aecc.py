@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -135,6 +136,62 @@ def test_decode_beyond_guarantee_is_unreliable():
         pass
 
 
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def exhaustive_decode(code, received, max_weight):
+    """Reference decoder: every error vector of each weight, by composition."""
+    for w in range(max_weight + 1):
+        hits = []
+        for e in _compositions(w, code.length):
+            candidate = tuple(r + x for r, x in zip(received, e))
+            if code.is_member(candidate):
+                hits.append(candidate)
+                if len(hits) > 1:
+                    raise AmbiguousDecode(f"two codewords at error weight {w}")
+        if hits:
+            return hits[0]
+    raise DecodeFailure(f"no codeword within error weight {max_weight}")
+
+
+def _outcome(decode, code, received, max_weight):
+    try:
+        return decode(code, received, max_weight)
+    except AmbiguousDecode:
+        return "ambiguous"
+    except DecodeFailure:
+        return "failure"
+
+
+def test_decode_matches_exhaustive_oracle():
+    rng = random.Random(7)
+    kinds = Counter()
+    for _ in range(400):
+        p = rng.choice((5, 7, 11))
+        n, d = rng.randint(1, min(5, p - 1)), rng.randint(1, 2)
+        beta = [rng.randrange(p) for _ in range(d)]
+        code = build_code(p, rng.sample(range(1, p), n), d, beta)
+        received = tuple(rng.randint(0, 3) for _ in range(n))
+        max_weight = rng.randint(0, 4)
+        expected = _outcome(exhaustive_decode, code, received, max_weight)
+        assert _outcome(decode_bounded, code, received, max_weight) == expected
+        kinds[expected if isinstance(expected, str) else "unique"] += 1
+    assert kinds["unique"] and kinds["ambiguous"] and kinds["failure"], kinds
+
+
+def test_decode_long_code():
+    # one coordinate per symbol of a length-1000 code: no recursion depth limit
+    code = build_code(1009, range(1, 1001), 1, beta=(5,))
+    expected = tuple(1 if i == 4 else 0 for i in range(1000))
+    assert decode_bounded(code, (0,) * 1000, 1) == expected
+
+
 def test_decode_failure_when_budget_too_small():
     code = build_code(5, (1, 2, 3), 2)
     with pytest.raises(DecodeFailure):
@@ -185,3 +242,5 @@ def test_code_file_round_trip(tmp_path):
     assert back == code
     with pytest.raises(ValueError):
         parse_code_file("p 5\nd 2\n")
+    with pytest.raises(ValueError):
+        parse_code_file("p\nd 1\nbeta 0\nalphas 1 2 3\n")

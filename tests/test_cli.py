@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from gramcode.cli import main
+from gramcode.grams import build_weight_set, lex_index
 
 
 def run_cli(*argv):
@@ -86,13 +91,54 @@ def test_simulate_requires_seed():
     assert err.value.code == 2
 
 
-def test_validation_error_exit_code():
+def test_validation_error_exit_code(tmp_path):
     status, _ = run_cli("graph-info", "--set", "weight", "2", "4", "9", "2", "3")
     assert status == 2
     status, _ = run_cli("graph-info", "--set", "full", "2")
     assert status == 2
-    status, _ = run_cli("--threads", "0", "graph-info", "--set", "full", "2", "2")
-    assert status == 2
+    with pytest.raises(SystemExit) as err:
+        run_cli("--threads", "1", "graph-info", "--set", "full", "2", "2")
+    assert err.value.code == 2
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    one_token = tmp_path / "one_token.txt"
+    one_token.write_text("2\n00 01\n")
+    grams_on_header = tmp_path / "grams_on_header.txt"
+    grams_on_header.write_text("2 2 00 01\n11\n")
+    short_header = tmp_path / "short_header.txt"
+    short_header.write_text("2\n1 2 3\n")
+    bare_p = tmp_path / "bare_p.txt"
+    bare_p.write_text("p\nd 1\nbeta 0\nalphas 1 2 3\n")
+    code = tmp_path / "code.txt"
+    run_cli("code-build", "--length", "3", "--d", "1", "--p", "5", "--out", str(code))
+    for argv in (
+        ("graph-info", "--set", "explicit", str(empty)),
+        ("graph-info", "--set", "explicit", str(one_token)),
+        ("graph-info", "--set", "explicit", str(grams_on_header)),
+        ("graph-info", "--set", "explicit", str(one_token), "extra"),
+        ("graph-info", "--set", "full", "2", "2", "3"),
+        ("code-check", "--code", str(code), "--profile", str(short_header)),
+        ("decode", "--codebook", str(empty), "--profile", str(short_header)),
+        ("code-check", "--code", str(bare_p), "--profile", str(short_header)),
+    ):
+        status, _ = run_cli(*argv)
+        assert status == 2, argv
+
+
+def test_module_entry_point_reports_bad_file(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gramcode.cli", "graph-info", "--set", "explicit", str(empty)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error ")
 
 
 def test_computation_error_exit_code(tmp_path):
@@ -162,6 +208,41 @@ def test_grc_build_and_decode(tmp_path):
     assert status == 0
     assert grab(out, "index") == "0"
     assert grab(out, "distance") == "0"
+    # same length, but the header names another alphabet: the gram set differs
+    profile_path.write_text(f"3 2 explicit 00 01 02 10 11 12 20 21 99\n{first}\n")
+    status, _ = run_cli("decode", "--codebook", str(book_path), "--profile", str(profile_path))
+    assert status == 2
+
+
+def test_weight_set_codebook_header_and_decode(tmp_path):
+    code_path = tmp_path / "code.txt"
+    run_cli("code-build", "--length", "10", "--d", "1", "--p", "11", "--out", str(code_path))
+    book_path = tmp_path / "book.txt"
+    status, _ = run_cli(
+        "grc-build", "--method", "intersect", "--set", "weight", "2", "4", "1", "2", "3",
+        "--n", "30", "--code", str(code_path), "--out", str(book_path),
+    )
+    assert status == 0
+    header, first = book_path.read_text().splitlines()[:2]
+    assert header.split()[3:7] == ["weight", "1", "2", "3"]
+
+    cube = [0] * 16
+    for g, c in zip(build_weight_set(2, 4, 1, 2, 3).grams, first.split()):
+        cube[lex_index(g, 2, 4)] = int(c)
+    profile_path = tmp_path / "observed.txt"
+    for text, expected in (
+        (f"2 4 weight 1 2 3 30\n{first}\n", 0),
+        (f"2 4 full 30\n{' '.join(map(str, cube))}\n", 0),
+        (f"2 4 weight 1 2 3 31\n{first}\n", 2),  # another word length
+        (f"2 4 weight 1 1 2 30\n{first}\n", 2),  # another ten-gram set
+    ):
+        profile_path.write_text(text)
+        status, out = run_cli(
+            "decode", "--codebook", str(book_path), "--profile", str(profile_path)
+        )
+        assert status == expected, text
+        if expected == 0:
+            assert grab(out, "index") == "0" and grab(out, "distance") == "0"
 
 
 def test_encode_command():
@@ -184,6 +265,9 @@ def test_rank_commands(tmp_path):
     status, out = run_cli("rank-decode", "--q", "2", "--ell", "3", "--profile", str(profile_path))
     assert status == 0
     assert grab(out, "permutation") == "0 1 2"
+    profile_path.write_text("2 3 weight 1 1 2 14\n3 1 0 2 1 1\n")
+    status, _ = run_cli("rank-decode", "--q", "2", "--ell", "3", "--profile", str(profile_path))
+    assert status == 2
 
 
 def test_roundtrip_presets():

@@ -316,3 +316,9 @@ def test_codebook_file_round_trip():
     assert back.codewords == book.codewords
     assert back.n == book.n and back.distance == book.distance
     assert back.gram_set.grams == book.gram_set.grams
+    sw = build_weight_set(2, 4, 1, 2, 3)
+    text = format_codebook_file(grc_intersect(build_code(11, tuple(range(1, 11)), 1), 30, sw))
+    assert text.startswith("30 2 4 weight 1 2 3 2 intersection\n")
+    assert parse_codebook_file(text).gram_set.grams == sw.grams
+    with pytest.raises(ValueError):
+        parse_codebook_file("")

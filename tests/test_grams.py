@@ -208,15 +208,72 @@ def test_channel_budget_validation():
 def test_profile_file_round_trip(tmp_path):
     s = build_weight_set(2, 4, 1, 2, 3)
     counts = profile(word("011001101011", 2), s).counts
-    text = grams.format_profile_file(counts, s, 12, spec="weight 1 2 3")
+    text = grams.format_profile_file(counts, s, 12)
+    assert text.splitlines()[0] == "2 4 weight 1 2 3 12"
     s2, n, counts2 = grams.parse_profile_file(text)
     assert (s2.grams, n, counts2) == (s.grams, 12, counts)
     full = full_gram_set(2, 2)
     text = grams.format_profile_file((3, 0, 0, 0), full, 4)
     s3, n3, c3 = grams.parse_profile_file(text)
     assert s3.is_full() and n3 == 4 and c3 == (3, 0, 0, 0)
-    explicit = grams.format_profile_file(
-        counts, s, 12, spec=grams.gram_set_spec(explicit_gram_set(2, 4, s.grams))
+    # a cycle of six grams is no weight window, so it stays an explicit list
+    cycle = explicit_gram_set(
+        2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0), (1, 0, 0)]
     )
-    s4, _, _ = grams.parse_profile_file(explicit)
-    assert s4.grams == s.grams
+    counts = profile(word("0001110", 2), cycle).counts
+    explicit = grams.format_profile_file(counts, cycle, 7)
+    assert explicit.splitlines()[0] == "2 3 explicit 000 001 011 100 110 111 7"
+    s4, n4, c4 = grams.parse_profile_file(explicit)
+    assert (s4.grams, n4, c4) == (cycle.grams, 7, counts)
+    with pytest.raises(ValueError):
+        grams.parse_profile_file("2\n1 2 3\n")
+    with pytest.raises(ValueError):
+        grams.parse_profile_file("2 2 full 9 4\n3 0 0 0\n")
+
+
+# Every gram set the test suite builds, plus the storage set of the benchmark.
+SPEC_CASES = [
+    full_gram_set(2, 2),
+    full_gram_set(2, 3),
+    full_gram_set(2, 4),
+    full_gram_set(3, 2),
+    full_gram_set(3, 3),
+    build_weight_set(2, 2, 1, 0, 2),
+    build_weight_set(2, 3, 1, 1, 2),
+    build_weight_set(2, 4, 1, 2, 3),
+    build_weight_set(2, 5, 1, 2, 3),
+    build_weight_set(3, 3, 2, 1, 2),
+    build_weight_set(4, 3, 2, 1, 3),
+    explicit_gram_set(2, 2, [(0, 0)]),
+    explicit_gram_set(2, 2, [(1, 0), (0, 1)]),
+    explicit_gram_set(3, 2, [(0, 1), (1, 0), (1, 2), (2, 0)]),
+    explicit_gram_set(4, 2, [(0, 0), (0, 1), (1, 0)]),
+    explicit_gram_set(4, 2, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 3)]),
+    explicit_gram_set(3, 3, full_gram_set(3, 3).grams[:20]),
+    explicit_gram_set(2, 4, build_weight_set(2, 4, 1, 2, 3).grams),
+] + [
+    build_weight_set(q, ell, q_star, w1, w2)
+    for q in (2, 3)
+    for ell in (3, 4, 5)
+    for q_star in range(1, q)
+    for w1 in range(1, ell)
+    for w2 in range(w1 + 1, ell + 1)
+]
+
+
+def test_gram_set_spec_round_trip():
+    for s in SPEC_CASES:
+        spec = grams.gram_set_spec(s)
+        assert grams.parse_gram_set_spec(s.q, s.ell, spec.split()).grams == s.grams
+
+
+def test_gram_set_spec_is_shortest():
+    assert grams.gram_set_spec(full_gram_set(2, 3)) == "full"
+    assert grams.gram_set_spec(build_weight_set(2, 2, 1, 0, 2)) == "full"
+    assert grams.gram_set_spec(build_weight_set(4, 3, 2, 1, 3)) == "weight 2 1 3"
+    assert grams.gram_set_spec(build_weight_set(2, 4, 1, 2, 3)) == "weight 1 2 3"
+    sw = build_weight_set(2, 4, 1, 2, 3)
+    assert grams.gram_set_spec(explicit_gram_set(2, 4, sw.grams)) == "weight 1 2 3"
+    assert grams.gram_set_spec(explicit_gram_set(2, 2, [(0, 0)])) == "weight 1 0 0"
+    assert grams.gram_set_spec(explicit_gram_set(2, 2, [(1, 0), (0, 1)])) == "weight 1 1 1"
+    assert grams.gram_set_spec(explicit_gram_set(2, 2, [(0, 0), (0, 1)])) == "explicit 00 01"

@@ -8,12 +8,12 @@ from gramcode.graphs import build_graph, incidence
 from gramcode.lattice import (
     CongruenceBlock,
     FitMismatch,
+    FlowSystem,
     GuardExceeded,
     brute_force_profiles,
     count_points,
     enumerate_points,
     fit_quasipolynomial,
-    flow_system,
     flow_system_for_words,
     monotonicity_check,
     reciprocity_check,
@@ -30,9 +30,9 @@ TWO_COMPONENT_SET = explicit_gram_set(
 
 def test_small_flow_count():
     g = build_graph(S22)
-    points = enumerate_points(flow_system(g, 3))
+    points = enumerate_points(FlowSystem(g, 3))
     assert len(points) == 6
-    assert count_points(flow_system(g, 3)) == 6
+    assert count_points(FlowSystem(g, 3)) == 6
     for u in points:
         assert sum(u) == 3 and u[1] == u[2]
 
@@ -42,8 +42,8 @@ def test_enumeration_is_duplicate_free_and_exhaustive(s):
     g = build_graph(s)
     for m in range(0, 16):
         for mode in ("F", "E"):
-            pts = enumerate_points(flow_system(g, m, mode))
-            assert len(pts) == len(set(pts)) == count_points(flow_system(g, m, mode))
+            pts = enumerate_points(FlowSystem(g, m, mode))
+            assert len(pts) == len(set(pts)) == count_points(FlowSystem(g, m, mode))
             # the DFS emits points in ascending lexicographic order
             assert pts == sorted(pts)
             for u in pts:
@@ -63,13 +63,13 @@ def test_unbalanced_graph_matches_composition_scan():
                 u for u in product(range(low, m + 1), repeat=g.n_arcs)
                 if sum(u) == m and not any(sum(r * c for r, c in zip(row, u)) for row in rows)
             ]
-            assert enumerate_points(flow_system(g, m, mode)) == scan
+            assert enumerate_points(FlowSystem(g, m, mode)) == scan
 
 
 def test_infeasible_systems_are_empty():
     g = build_graph(S23)
-    assert enumerate_points(flow_system(g, 3, "E")) == []
-    assert count_points(flow_system(g, 0, "E")) == 0
+    assert enumerate_points(FlowSystem(g, 3, "E")) == []
+    assert count_points(FlowSystem(g, 0, "E")) == 0
 
 
 def test_brute_force_profile_counts():
@@ -118,10 +118,10 @@ def test_congruence_count_matches_filtering(s, mode):
     block = CongruenceBlock(rows, 5, (2,))
     shift = g.n_arcs if mode == "E" else 0
     for m in (6 + shift, 9 + shift, 12 + shift):
-        plain = enumerate_points(flow_system(g, m, mode))
+        plain = enumerate_points(FlowSystem(g, m, mode))
         filtered = [u for u in plain if sum(h * c for h, c in zip(rows[0], u)) % 5 == 2]
-        assert count_points(flow_system(g, m, mode, block)) == len(filtered)
-        assert enumerate_points(flow_system(g, m, mode, block)) == filtered
+        assert count_points(FlowSystem(g, m, mode, block)) == len(filtered)
+        assert enumerate_points(FlowSystem(g, m, mode, block)) == filtered
 
 
 def test_congruence_count_interior_mode():
@@ -129,12 +129,12 @@ def test_congruence_count_interior_mode():
     rows = ((1, 2, 3, 5, 8, 10, 11, 12), (1, 4, 9, 12, 12, 9, 4, 1))
     block = CongruenceBlock(rows, 13, (0, 0))
     for m in (12, 24):
-        plain = enumerate_points(flow_system(g, m, "E"))
+        plain = enumerate_points(FlowSystem(g, m, "E"))
         kept = [
             u for u in plain
             if all(sum(h * c for h, c in zip(row, u)) % 13 == 0 for row in rows)
         ]
-        assert enumerate_points(flow_system(g, m, "E", block)) == kept
+        assert enumerate_points(FlowSystem(g, m, "E", block)) == kept
 
 
 def test_fit_known_leading_coefficients(table_fits):
@@ -152,7 +152,7 @@ def test_fit_polynomial_evaluates_to_counts():
     poly = fit_quasipolynomial(S22, 2, 2)
     g = build_graph(S22)
     for t in range(1, 6):
-        assert poly.evaluate(t) == count_points(flow_system(g, 2 * t))
+        assert poly.evaluate(t) == count_points(FlowSystem(g, 2 * t))
 
 
 def test_fit_rejects_wrong_degree():
