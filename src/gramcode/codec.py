@@ -102,34 +102,18 @@ def message_bound(graph: DeBruijnGraph, n: int) -> int:
     return (n - s.ell + 1) // denom
 
 
-def systematic_layout(
-    graph: DeBruijnGraph,
-    m: int,
-    ham_cycle=None,
-    loop_arc: int | None = None,
-) -> SystematicLayout:
+def systematic_layout(graph: DeBruijnGraph, m: int) -> SystematicLayout:
     """Build the encoder layout: Hamiltonian cycle, smallest loop, info rest."""
     if graph.n_nodes < 2:
         raise ValueError("layout needs at least two nodes")
-    if ham_cycle is None:
-        ham_cycle = hamiltonian_cycle(graph)
-    ham_cycle = tuple(ham_cycle)
-    if sorted(ham_cycle) != list(range(graph.n_nodes)):
-        raise ValueError("cycle must visit every node exactly once")
-    cycle_arcs = []
-    for i, u in enumerate(ham_cycle):
-        v = ham_cycle[(i + 1) % len(ham_cycle)]
-        arc = graph.arc_between(u, v)
-        if arc is None:
-            raise ValueError(f"no arc from node {u} to node {v}")
-        cycle_arcs.append(arc)
-    if loop_arc is None:
-        loops = graph.loops()
-        if not loops:
-            raise ValueError("layout needs a loop arc")
-        loop_arc = loops[0]
-    if not graph.is_loop(loop_arc) or loop_arc in cycle_arcs:
-        raise ValueError("loop arc must be a loop off the cycle")
+    ham_cycle = tuple(hamiltonian_cycle(graph))
+    cycle_arcs = [
+        graph.arc_between(u, v) for u, v in zip(ham_cycle, ham_cycle[1:] + ham_cycle[:1])
+    ]
+    loops = graph.loops()
+    if not loops:
+        raise ValueError("layout needs a loop arc")
+    loop_arc = loops[0]
     info = tuple(
         a for a in range(graph.n_arcs) if a != loop_arc and a not in cycle_arcs
     )
@@ -219,15 +203,15 @@ class GrcCodebook:
 
 
 def grc_intersect(
-    code: VarshamovCode, n: int, s: GramSet, interior_only: bool = True,
-    certify: bool = True,
+    code: VarshamovCode, n: int, s: GramSet, interior_only: bool = True
 ) -> GrcCodebook:
     """Codebook of Varshamov members among the profiles of length-n words.
 
     Interior flow points (every count >= 1) are guaranteed realizable,
-    so the enumeration with the code's congruence block is the codebook.
-    With interior_only=False the boundary points join too, filtered by
-    an explicit realizability check.
+    so the enumeration with the code's congruence block is the codebook;
+    each one is still certified by building its word.  With
+    interior_only=False the boundary points join too, filtered by an
+    explicit realizability check.
     """
     if code.length != len(s):
         raise ValueError("code length must match the gram set size")
@@ -237,7 +221,7 @@ def grc_intersect(
     points = enumerate_points(flow_system_for_words(graph, n, mode, cong))
     if not interior_only:
         points = [u for u in points if _realizable(u, s, graph)]
-    elif certify:
+    else:
         for u in points:
             euler_word(u, s, graph)
     return GrcCodebook(n, s, tuple(points), code.design_distance, "intersection")

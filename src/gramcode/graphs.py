@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .grams import GramSet, full_gram_set
 
-DEFAULT_HAMILTONIAN_BUDGET = 10_000_000
+CYCLE_SEARCH_BUDGET = 10_000_000
 
 
 class NotHamiltonianError(ValueError):
@@ -284,16 +284,16 @@ def eulerian_circuit(graph: DeBruijnGraph, multiplicities) -> list[int]:
 
 
 def hamiltonian_cycle(
-    graph: DeBruijnGraph, budget: int = DEFAULT_HAMILTONIAN_BUDGET
+    graph: DeBruijnGraph, budget: int = CYCLE_SEARCH_BUDGET
 ) -> list[int]:
     """A cycle visiting every node exactly once, as node indices.
 
     For the full gram set the cycle is read off an Eulerian circuit of
     the order-(l-1) graph, whose arcs are exactly our nodes.  Otherwise
-    a bounded backtracking search runs; exhausting the search space
-    raises NotHamiltonianError while hitting the step budget raises
-    SearchBudgetExceeded (the two are distinguishable on purpose).
-    The cycle is rotated to start at the smallest node.
+    it is the first cycle of length |V| the rooted search from node 0
+    closes; exhausting the search space raises NotHamiltonianError while
+    hitting the step budget raises SearchBudgetExceeded (the two are
+    distinguishable on purpose).  The cycle starts at the smallest node.
     """
     s = graph.gram_set
     if s.is_full():
@@ -305,71 +305,61 @@ def hamiltonian_cycle(
         for u, v in zip(walk, walk[1:]):
             gram = sub.nodes[u] + (sub.nodes[v][-1],)
             cycle.append(graph.node_index(gram))
-        return _rotate_min(cycle)
-
-    n = graph.n_nodes
-    visited = [False] * n
-    path = [0]
-    visited[0] = True
-    steps = 0
-
-    def extend() -> bool:
-        nonlocal steps
-        v = path[-1]
-        if len(path) == n:
-            return 0 in graph.successors(v)
-        for w in graph.successors(v):
-            if visited[w]:
-                continue
-            steps += 1
-            if steps > budget:
-                raise SearchBudgetExceeded(f"hamiltonian search exceeded {budget} steps")
-            visited[w] = True
-            path.append(w)
-            if extend():
-                return True
-            path.pop()
-            visited[w] = False
-        return False
+        k = cycle.index(min(cycle))
+        return cycle[k:] + cycle[:k]
 
     if len(strongly_connected_components(graph)) != 1:
         raise NotHamiltonianError("graph is not strongly connected")
-    if extend():
-        return _rotate_min(path)
+    for path in _rooted_cycles(graph, 0, budget):
+        if len(path) == graph.n_nodes:
+            return path[:]
     raise NotHamiltonianError("no Hamiltonian cycle exists")
 
 
-def _rotate_min(cycle: list[int]) -> list[int]:
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
+def _rooted_cycles(graph: DeBruijnGraph, root: int, budget: int):
+    """Yield every simple cycle through root whose other nodes exceed root.
+
+    Each cycle comes as its node path from root (the closing arc back to
+    root is implied), in depth-first order with successors ascending.
+    Every node pushed onto the path is one step; more than budget steps
+    raise SearchBudgetExceeded.  The yielded list is shared.
+    """
+    on_path = [False] * graph.n_nodes
+    on_path[root] = True
+    path = [root]
+    stack = [iter(graph.successors(root))]
+    steps = 0
+    while stack:
+        for w in stack[-1]:
+            if w == root:
+                yield path
+            elif w > root and not on_path[w]:
+                steps += 1
+                if steps > budget:
+                    raise SearchBudgetExceeded(f"cycle search exceeded {budget} steps")
+                on_path[w] = True
+                path.append(w)
+                stack.append(iter(graph.successors(w)))
+                break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
 
 
 def simple_cycle_lengths(graph: DeBruijnGraph) -> set[int]:
     """Lengths of all simple cycles (closed walks with distinct nodes).
 
-    DFS rooted at each node v, restricted to nodes >= v so every cycle
-    is found exactly once from its smallest node.  Stops early once all
-    lengths 1..|V| have been seen.
+    Each cycle is found once, from its smallest node, by the rooted
+    search; each root's search is bounded by CYCLE_SEARCH_BUDGET steps.
+    Stops early once all lengths 1..|V| have been seen.
     """
     n = graph.n_nodes
     lengths: set[int] = set()
-
     for root in range(n):
-        if len(lengths) == n:
-            break
-        on_path = [False] * n
-        on_path[root] = True
-
-        def dfs(v: int, depth: int):
-            for w in graph.successors(v):
-                if w == root:
-                    lengths.add(depth)
-                elif w > root and not on_path[w]:
-                    on_path[w] = True
-                    dfs(w, depth + 1)
-                    on_path[w] = False
-
-        dfs(root, 1)
+        for path in _rooted_cycles(graph, root, CYCLE_SEARCH_BUDGET):
+            lengths.add(len(path))
+            if len(lengths) == n:
+                return lengths
     return lengths
 
 

@@ -47,6 +47,8 @@ class CongruenceBlock:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("congruence block needs at least one row")
+        if len({len(row) for row in self.rows}) != 1:
+            raise ValueError("congruence rows must have equal lengths")
         object.__setattr__(
             self, "rows", tuple(tuple(h % self.p for h in row) for row in self.rows)
         )
@@ -162,155 +164,125 @@ def _plan(system: FlowSystem):
     return levels, total, targets, pinned_arc, weights, pin_const
 
 
-def _scan(system: FlowSystem, emit):
-    """Depth-first scan calling emit(values) for every point (pre-base-shift)."""
+def _scan(system: FlowSystem):
+    """Depth-first scan yielding the values of every point (pre-base-shift).
+
+    An explicit stack of levels: level i keeps its value vals[i], its
+    upper bound his[i], and on entry the remaining total rems[i], the
+    positive missing balance poss[i] and the congruence residues saved[i].
+    A value c moves c units of missing balance from node b to node a, so
+    a loop leaves the balances as they are.  The yielded list is shared
+    and overwritten as the scan goes on.
+    """
     levels, total, miss, pinned_arc, weights, pin_const = _plan(system)
-    if total < 0:
-        return
     n = len(levels)
-    pos0 = sum(m for m in miss if m > 0)
-    if pos0 != -sum(m for m in miss if m < 0):
+    pos = sum(m for m in miss if m > 0)
+    if total < 0 or pos != -sum(m for m in miss if m < 0):
         return
-    vals = [0] * n
     cong = system.congruence
-    p, beta, cols, res = 0, None, None, None
+    beta = None
     if cong is not None:
         p = cong.p
         beta = list(cong.beta)
         cols = [tuple(row[i] for row in cong.rows) for i in range(n)]
-        res = [0] * len(cong.rows)
+        res = [0] * len(beta)
         if system.mode == "E":
             for col in cols:
                 for j, h in enumerate(col):
                     res[j] = (res[j] + h) % p
+    # The pinned value is (rem - pin_const - sum of weight * decision) / pin_weight.
+    dec_levels = [i for i, level in enumerate(levels) if level[2] >= 0]
+    pin_terms = [(dec_levels[k], w) for k, w in enumerate(weights[:-1]) if w]
+    pin_weight = weights[-1] if weights else 0
     last = n - 1
-    pinned_dec = len(weights) - 1
-    dec_vals = [0] * len(weights)
-
-    def pinned_value(rem):
-        """The unique value balancing the total at the pinned level, or None."""
-        need = rem - pin_const
-        for k in range(pinned_dec):
-            need -= weights[k] * dec_vals[k]
-        value, leftover = divmod(need, weights[pinned_dec])
-        if leftover:
-            return None
-        return value
-
-    def rec(i, rem, pos):
-        if i == n:
-            if rem == 0 and pos == 0 and (beta is None or res == beta):
-                emit(vals)
-            return
-        a, b, k, a_in, a_out, b_in, b_out = levels[i]
-        if a == b:
-            hi = rem - pos
-            lo = 0
+    vals = [0] * n
+    his = [0] * n
+    rems = [0] * n
+    poss = [0] * n
+    saved = [None] * n
+    rems[0], poss[0] = total, pos
+    i = 0
+    step = None  # None: enter level i; else raise its value by step
+    while i >= 0:
+        a, b, _, a_in, a_out, b_in, b_out = levels[i]
+        rem = rems[i]
+        if step is None:
+            lo, hi = 0, rem
+            if a_in:
+                hi = min(hi, -miss[a])
+            if a_out:
+                lo = max(lo, -miss[a])
+            if b_in:
+                lo = max(lo, miss[b])
+            if b_out:
+                hi = min(hi, miss[b])
             if i == last:
-                lo = rem
+                lo = max(lo, rem)
             if i == pinned_arc:
-                pv = pinned_value(rem)
-                if pv is None:
-                    return
-                lo = max(lo, pv)
-                hi = min(hi, pv)
+                need = rem - pin_const
+                for level, w in pin_terms:
+                    need -= w * vals[level]
+                value, leftover = divmod(need, pin_weight)
+                if leftover:
+                    value = -1  # no integer solution: an empty range
+                lo = max(lo, value)
+                hi = min(hi, value)
             if lo > hi:
-                return
+                i -= 1
+                step = 1
+                continue
+            his[i] = hi
+            vals[i] = 0
+            step = lo
+            npos = poss[i]
             if beta is not None:
-                col = cols[i]
-                saved = res[:]
-                for j, h in enumerate(col):
-                    res[j] = (res[j] + h * lo) % p
-            for c in range(lo, hi + 1):
-                if k >= 0:
-                    dec_vals[k] = c
-                vals[i] = c
-                rec(i + 1, rem - c, pos)
-                if beta is not None and c < hi:
-                    for j, h in enumerate(col):
-                        res[j] = (res[j] + h) % p
+                saved[i] = res[:]
+        elif vals[i] == his[i]:
+            c = vals[i]
+            miss[a] -= c
+            miss[b] += c
             if beta is not None:
-                res[:] = saved
-            return
-
+                res[:] = saved[i]
+            i -= 1
+            continue
+        else:
+            npos = poss[i + 1]
         ma = miss[a]
         mb = miss[b]
-        lo, hi = 0, rem
-        if a_in:
-            hi = min(hi, -ma)
-        if a_out:
-            lo = max(lo, -ma)
-        if b_in:
-            lo = max(lo, mb)
-        if b_out:
-            hi = min(hi, mb)
-        if i == last:
-            lo = max(lo, rem)
-            hi = min(hi, rem)
-        if i == pinned_arc:
-            pv = pinned_value(rem)
-            if pv is None:
-                return
-            lo = max(lo, pv)
-            hi = min(hi, pv)
-        if lo > hi:
-            return
-        pos_rest = pos - (ma if ma > 0 else 0) - (mb if mb > 0 else 0)
+        npos -= (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
+        miss[a] += step
+        miss[b] -= step
+        ma = miss[a]
+        mb = miss[b]
+        npos += (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
+        c = vals[i] + step
+        vals[i] = c
         if beta is not None:
-            col = cols[i]
-            saved = res[:]
-            for j, h in enumerate(col):
-                res[j] = (res[j] + h * lo) % p
-        for c in range(lo, hi + 1):
-            na = ma + c
-            nb = mb - c
-            npos = pos_rest + (na if na > 0 else 0) + (nb if nb > 0 else 0)
-            if npos + c > rem:
-                break
-            if k >= 0:
-                dec_vals[k] = c
-            miss[a] = na
-            miss[b] = nb
-            vals[i] = c
-            rec(i + 1, rem - c, npos)
-            if beta is not None and c < hi:
-                for j, h in enumerate(col):
-                    res[j] = (res[j] + h) % p
-        miss[a] = ma
-        miss[b] = mb
-        if beta is not None:
-            res[:] = saved
-
-    rec(0, total, pos0)
+            for j, h in enumerate(cols[i]):
+                res[j] = (res[j] + h * step) % p
+        step = 1
+        if npos + c > rem:
+            his[i] = c  # no larger value fits: the next pass leaves the level
+        elif i == last:
+            # c == rem here, and npos + c <= rem left npos == 0
+            if beta is None or res == beta:
+                yield vals
+        else:
+            rems[i + 1] = rem - c
+            poss[i + 1] = npos
+            i += 1
+            step = None
 
 
 def count_points(system: FlowSystem) -> int:
     """Number of integer points of the system, exactly."""
-    counter = [0]
-
-    def emit(_vals):
-        counter[0] += 1
-
-    _scan(system, emit)
-    return counter[0]
+    return sum(1 for _ in _scan(system))
 
 
 def enumerate_points(system: FlowSystem):
     """All integer points of the system as count tuples, in DFS order."""
     base = 1 if system.mode == "E" else 0
-    points: list[tuple[int, ...]] = []
-    if base:
-        points_append = points.append
-
-        def emit(vals):
-            points_append(tuple(v + 1 for v in vals))
-
-    else:
-        def emit(vals):
-            points.append(tuple(vals))
-
-    _scan(system, emit)
-    return points
+    return [tuple([v + base for v in vals]) for vals in _scan(system)]
 
 
 def brute_force_profiles(n, s: GramSet, closed_only=False):

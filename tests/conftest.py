@@ -31,7 +31,7 @@ def headline_codebook():
     distance checks read from it.
     """
     code = aecc.build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
-    return codec.grc_intersect(code, 158, grams.full_gram_set(2, 3), certify=False)
+    return codec.grc_intersect(code, 158, grams.full_gram_set(2, 3))
 
 
 @pytest.fixture(scope="session")

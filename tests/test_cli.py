@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gramcode import graphs
 from gramcode.cli import main
 from gramcode.grams import build_weight_set, lex_index
 
@@ -50,6 +51,9 @@ def test_enumerate_modes():
     )
     assert status == 0 and grab(out, "count") == "6"
     assert out.count("point ") == 6
+    # 1024 arcs, one scan level each
+    status, out = run_cli("enumerate", "--set", "full", "2", "10", "--n", "11")
+    assert status == 0 and grab(out, "count") == "4"
 
 
 def test_fit_command():
@@ -141,7 +145,7 @@ def test_module_entry_point_reports_bad_file(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error ")
 
 
-def test_computation_error_exit_code(tmp_path):
+def test_computation_error_exit_code(tmp_path, monkeypatch, capsys):
     code_path = tmp_path / "code.txt"
     run_cli("code-build", "--length", "3", "--d", "2", "--p", "5", "--out", str(code_path))
     profile_path = tmp_path / "profile.txt"
@@ -151,6 +155,12 @@ def test_computation_error_exit_code(tmp_path):
         "--max-weight", "0",
     )
     assert status == 3
+    # the cycle-length search gives up on its step budget
+    monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 5)
+    capsys.readouterr()
+    status, _ = run_cli("graph-info", "--set", "weight", "2", "5", "1", "2", "3")
+    assert status == 3
+    assert "error cycle search exceeded 5 steps" in capsys.readouterr().err
 
 
 def test_code_files_and_decoding(tmp_path):

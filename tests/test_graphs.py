@@ -1,5 +1,6 @@
 import pytest
 
+from gramcode import graphs
 from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set, profile, word
 from gramcode.graphs import (
     NotHamiltonianError,
@@ -176,6 +177,9 @@ def test_hamiltonian_budget():
     reduced = explicit_gram_set(3, 3, [gr for gr in full_gram_set(3, 3).grams][:20])
     with pytest.raises((SearchBudgetExceeded, NotHamiltonianError, ValueError)):
         hamiltonian_cycle(build_graph(reduced), budget=3)
+    # 1022 nodes: the search gives up on its budget, whatever the path depth
+    with pytest.raises(SearchBudgetExceeded):
+        hamiltonian_cycle(build_graph(build_weight_set(2, 11, 1, 2, 9)), budget=5000)
 
 
 def test_cycle_incidence_annihilation():
@@ -211,6 +215,15 @@ def test_cycle_lengths_by_brute_force():
     # all simple cycles of the 2-cube graph, checked against a direct walk scan
     g = build_graph(full_gram_set(2, 2))
     assert simple_cycle_lengths(g) == {1, 2}
+
+
+def test_cycle_lengths_budget(monkeypatch):
+    g = build_graph(build_weight_set(2, 5, 1, 2, 3))
+    monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 5)
+    with pytest.raises(SearchBudgetExceeded):
+        simple_cycle_lengths(g)
+    with pytest.raises(SearchBudgetExceeded):
+        cycle_length_lcm(g)
 
 
 def test_growth_exponent_two_components():

@@ -66,6 +66,17 @@ def test_unbalanced_graph_matches_composition_scan():
             assert enumerate_points(FlowSystem(g, m, mode)) == scan
 
 
+def test_wide_full_cube_counts_binary_words():
+    # B(2,9) has 1024 arcs, so the scan runs 1024 levels deep.  Its cycles
+    # of length <= 5 are node-disjoint, one per Lyndon word of that length,
+    # so a circulation of total M <= 3 is a multiset of Lyndon words of total
+    # length M; by Lyndon factorization these biject with binary words.
+    g = build_graph(full_gram_set(2, 10))
+    for m in (1, 2, 3):
+        assert count_points(FlowSystem(g, m)) == 2**m
+        assert len(enumerate_points(FlowSystem(g, m))) == 2**m
+
+
 def test_infeasible_systems_are_empty():
     g = build_graph(S23)
     assert enumerate_points(FlowSystem(g, 3, "E")) == []
@@ -135,6 +146,8 @@ def test_congruence_count_interior_mode():
             if all(sum(h * c for h, c in zip(row, u)) % 13 == 0 for row in rows)
         ]
         assert enumerate_points(FlowSystem(g, m, "E", block)) == kept
+    with pytest.raises(ValueError):
+        CongruenceBlock((rows[0], rows[1][:-1]), 13, (0, 0))  # ragged rows
 
 
 def test_fit_known_leading_coefficients(table_fits):

@@ -1,0 +1,55 @@
+import ast
+from pathlib import Path
+
+# Recursion left on purpose, with its depth bounded: brute_force_profiles
+# recurses once per symbol of a word (q**n <= BRUTE_FORCE_GUARD), the trail
+# search once per arc of a graph with q**ell <= 64 arcs.
+ALLOWED = {
+    ("lattice.py", "brute_force_profiles.rec"),
+    ("channel.py", "_trail_partition.forward"),
+    ("channel.py", "_trail_partition.backward"),
+}
+
+
+def _self_calls(tree):
+    """Qualified names of the functions whose bodies call them by name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id == child.name
+                    for sub in ast.walk(child)
+                ):
+                    found.append(name)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_function_calls_itself():
+    package = Path(__file__).resolve().parent.parent / "src" / "gramcode"
+    recursive = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for name in _self_calls(ast.parse(path.read_text()))
+    }
+    assert recursive <= ALLOWED, sorted(recursive - ALLOWED)
+
+
+def test_self_call_detector():
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    def h():\n        h()\n    return h\n"
+        "def k():\n    return f(1)\n"
+    )
+    assert _self_calls(tree) == ["f", "g.h"]
