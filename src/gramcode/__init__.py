@@ -58,7 +58,6 @@ from .aecc import (
     code_size_ambient,
     decode_bounded,
     default_code,
-    verify_min_distance,
 )
 from .codec import (
     GrcCodebook,

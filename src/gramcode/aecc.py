@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .grams import asym_distance
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -161,6 +159,8 @@ def decode_bounded(code: VarshamovCode, received, max_weight: int):
     received = tuple(received)
     if len(received) != code.length:
         raise ValueError(f"vector length {len(received)} != {code.length}")
+    if max_weight < 0:
+        raise ValueError(f"error weight bound must be nonnegative, got {max_weight}")
     for w in range(max_weight + 1):
         hits = []
         for support in combinations_with_replacement(range(code.length), w):
@@ -176,25 +176,6 @@ def decode_bounded(code: VarshamovCode, received, max_weight: int):
         if hits:
             return hits[0]
     raise DecodeFailure(f"no codeword within error weight {max_weight}")
-
-
-def verify_min_distance(codebook):
-    """Minimum pairwise asymmetric distance by exhaustive scan.
-
-    A single codeword has no pair; the distance is +infinity then.
-    """
-    words = [tuple(u) for u in codebook]
-    if len(words) < 2:
-        return float("inf")
-    best = None
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            dist = asym_distance(words[i], words[j])
-            if best is None or dist < best:
-                best = dist
-                if best == 0:
-                    return 0
-    return best
 
 
 # --- code spec files -------------------------------------------------------

@@ -14,9 +14,9 @@ k-of-n sample, then one new symbol per position in ascending position
 order; dropped occurrence indices as a k-of-n sample; substituted
 occurrence indices (relative to the survivors in position order) as a
 k-of-n sample, then per occurrence in ascending order a position in the
-gram and a different symbol (or a different whole gram in whole-gram
-mode).  k-of-n sampling is a partial Fisher-Yates over range(n), and
-every bounded draw uses rejection on 64-bit splitmix output.
+gram and a different symbol there.  k-of-n sampling is a partial
+Fisher-Yates over range(n), and every bounded draw uses rejection on
+64-bit splitmix output.
 
 Also here: the support-only and rank-only readout helpers, the exact
 count of distinct gram supports for short binary words, and the
@@ -29,11 +29,12 @@ import json
 from dataclasses import dataclass
 
 from .grams import (
-    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, gram_at, lex_index,
+    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, lex_index,
 )
-from .graphs import SearchBudgetExceeded, build_graph
+from .graphs import SearchBudgetExceeded, build_graph, eulerian_circuit
 
 _MASK = (1 << 64) - 1
+TRAIL_SEARCH_BUDGET = 5_000_000
 
 
 class Splitmix64:
@@ -89,8 +90,8 @@ class ChannelTrace:
 def inject(x: Word, ell: int, trace: ChannelTrace) -> ProfileVector:
     """Apply a trace to a word; the observation over the full gram cube."""
     n = len(x)
-    if n < ell:
-        raise ValueError("word shorter than the gram length")
+    if not 1 <= ell <= n:
+        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
     symbols = list(x.symbols)
     for pos, new in trace.synthesis:
         if not 0 <= pos < n:
@@ -121,7 +122,6 @@ def transmit(
     budget: ChannelBudget,
     seed: int,
     at_most: bool = False,
-    whole_gram: bool = False,
 ):
     """One seeded channel use; returns (observation, trace).
 
@@ -131,8 +131,8 @@ def transmit(
     promises "at most").
     """
     n = len(x)
-    if n < ell:
-        raise ValueError("word shorter than the gram length")
+    if not 1 <= ell <= n:
+        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
     rng = Splitmix64(seed)
     s_syn, t, s_seq = budget.s_syn, budget.t, budget.s_seq
     if at_most:
@@ -162,14 +162,9 @@ def transmit(
     gram_subs = []
     for idx in rng.sample(len(survivor_grams), s_seq):
         old = survivor_grams[idx]
-        if whole_gram:
-            old_rank = lex_index(old, q, ell)
-            new_rank = (old_rank + 1 + rng.below(q**ell - 1)) % q**ell
-            new_gram = gram_at(new_rank, q, ell)
-        else:
-            inside = rng.below(ell)
-            new_symbol = (old[inside] + 1 + rng.below(q - 1)) % q
-            new_gram = old[:inside] + (new_symbol,) + old[inside + 1 :]
+        inside = rng.below(ell)
+        new_symbol = (old[inside] + 1 + rng.below(q - 1)) % q
+        new_gram = old[:inside] + (new_symbol,) + old[inside + 1 :]
         gram_subs.append((idx, new_gram))
     trace = ChannelTrace(seed, tuple(synthesis), dropped, tuple(gram_subs))
     return inject(x, ell, trace), trace
@@ -250,100 +245,69 @@ def tan_shallit_count(n: int, ell: int) -> int:
     return total
 
 
-def brute_force_support_count(n: int, ell: int) -> int:
-    """Oracle: enumerate all binary words, collect distinct gram supports."""
-    supports = set()
-    for v in range(2**n):
-        bits = tuple((v >> i) & 1 for i in range(n))
-        supports.add(frozenset(bits[i : i + ell] for i in range(n - ell + 1)))
-    return len(supports)
-
-
 # --- equal trail decomposition -----------------------------------------------
 
-def cycle_decomposition(q: int, ell: int, budget: int = 5_000_000):
+def cycle_decomposition(q: int, ell: int):
     """Split all q^ell arcs of the full graph into q trails of q^(ell-1) arcs.
 
-    Backtracking prefers closed trails (walks returning to their start);
-    when no all-closed decomposition exists the search reruns allowing
-    open trails.  Each trail is a list of arc indices into the full gram
-    set, consecutive arcs chaining head to tail with no arc repeated.
+    Each trail is a list of arc indices into the full gram set,
+    consecutive arcs chaining head to tail with no arc repeated.  The
+    first decomposition into closed trails (walks returning to their
+    start) in search order is returned; when none exists the Eulerian
+    circuit of the graph is cut into q consecutive open trails.  The
+    closed-trail search gives up after TRAIL_SEARCH_BUDGET arc
+    placements with SearchBudgetExceeded.
     """
     if q**ell > 64:
         raise ValueError("decomposition search is desk-scale only (q^ell <= 64)")
-    s = full_gram_set(q, ell)
-    graph = build_graph(s)
+    graph = build_graph(full_gram_set(q, ell))
     length = q ** (ell - 1)
-    for closed_only in (True, False):
-        found = _trail_partition(graph, q, length, closed_only, budget)
-        if found is not None:
-            return found
-    raise SearchBudgetExceeded("no trail decomposition found within budget")
+    arcs = _closed_trails(graph, length)
+    if arcs is None:
+        walk = eulerian_circuit(graph, [1] * graph.n_arcs)
+        arcs = [graph.arc_of[u, v] for u, v in zip(walk, walk[1:])]
+    return [arcs[i : i + length] for i in range(0, len(arcs), length)]
 
 
-def _trail_partition(graph, count, length, closed_only, budget):
-    n_arcs = graph.n_arcs
-    used = [False] * n_arcs
-    trails: list[list[int]] = []
-    steps = [0]
+def _closed_trails(graph, length):
+    """All arcs in one list that consecutive `length`-arc slices split into
+    closed trails, the first such in search order; None if there is none.
 
-    def bump():
-        steps[0] += 1
-        if steps[0] > budget:
-            raise SearchBudgetExceeded(f"decomposition exceeded {budget} steps")
+    Depth-first over arc slots: a slot starting a trail takes the first
+    unused arc (a closed trail can be rotated to start there), every
+    other slot an unused arc out of the previous arc's head, ascending,
+    and a trail's last slot only an arc back to the trail's start.
+    """
+    budget = TRAIL_SEARCH_BUDGET
+    used = [False] * graph.n_arcs
+    path: list[int] = []
 
-    def forward(trail, remaining):
-        bump()
-        if remaining == 0:
-            if closed_only and graph.arc_term[trail[-1]] != graph.arc_init[trail[0]]:
-                return False
-            trails.append(trail[:])
-            if solve():
-                return True
-            trails.pop()
-            return False
-        node = graph.arc_term[trail[-1]]
-        for a in graph.out_arcs(node):
-            if used[a]:
-                continue
-            used[a] = True
-            trail.append(a)
-            if forward(trail, remaining - 1):
-                return True
-            trail.pop()
-            used[a] = False
-        return False
+    def options():
+        i = len(path) % length
+        if i == 0:
+            return iter([used.index(False)])
+        start = graph.arc_init[path[-i]]
+        head = graph.arc_term[path[-1]]
+        return iter([
+            a for a in graph.out_adj[head]
+            if not used[a] and (i < length - 1 or graph.arc_term[a] == start)
+        ])
 
-    def backward(trail, prepends, remaining):
-        if prepends == 0:
-            return forward(trail, remaining)
-        bump()
-        node = graph.arc_init[trail[0]]
-        for a in graph.in_adj[node]:
-            if used[a]:
-                continue
-            used[a] = True
-            trail.insert(0, a)
-            if backward(trail, prepends - 1, remaining):
-                return True
-            trail.pop(0)
-            used[a] = False
-        return False
-
-    def solve():
-        if len(trails) == count:
-            return all(used)
-        first = next((a for a in range(n_arcs) if not used[a]), None)
-        if first is None:
-            return False
-        # The first unused arc sits somewhere in its trail.  Closed trails
-        # can be rotated to start with it; open trails try every position.
-        used[first] = True
-        positions = (0,) if closed_only else range(length)
-        for p in positions:
-            if backward([first], p, length - 1 - p):
-                return True
-        used[first] = False
-        return False
-
-    return trails if solve() else None
+    stack = [options()]
+    steps = 0
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
+            continue
+        steps += 1
+        if steps > budget:
+            raise SearchBudgetExceeded(f"trail search exceeded {budget} steps")
+        used[a] = True
+        path.append(a)
+        if len(path) == graph.n_arcs:
+            return path
+        stack.append(options())
+    return None

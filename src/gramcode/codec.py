@@ -202,37 +202,21 @@ class GrcCodebook:
         return len(self.codewords)
 
 
-def grc_intersect(
-    code: VarshamovCode, n: int, s: GramSet, interior_only: bool = True
-) -> GrcCodebook:
+def grc_intersect(code: VarshamovCode, n: int, s: GramSet) -> GrcCodebook:
     """Codebook of Varshamov members among the profiles of length-n words.
 
     Interior flow points (every count >= 1) are guaranteed realizable,
     so the enumeration with the code's congruence block is the codebook;
-    each one is still certified by building its word.  With
-    interior_only=False the boundary points join too, filtered by an
-    explicit realizability check.
+    each one is still certified by building its word.
     """
     if code.length != len(s):
         raise ValueError("code length must match the gram set size")
     graph = build_graph(s)
     cong = CongruenceBlock(code.rows, code.p, code.beta)
-    mode = "E" if interior_only else "F"
-    points = enumerate_points(flow_system_for_words(graph, n, mode, cong))
-    if not interior_only:
-        points = [u for u in points if _realizable(u, s, graph)]
-    else:
-        for u in points:
-            euler_word(u, s, graph)
+    points = enumerate_points(flow_system_for_words(graph, n, "E", cong))
+    for u in points:
+        euler_word(u, s, graph)
     return GrcCodebook(n, s, tuple(points), code.design_distance, "intersection")
-
-
-def _realizable(counts, s, graph):
-    try:
-        euler_word(counts, s, graph)
-        return True
-    except ValueError:
-        return False
 
 
 def systematic_grc(

@@ -35,10 +35,9 @@ class DeBruijnGraph:
     arc_init: tuple[int, ...]
     arc_term: tuple[int, ...]
     _node_index: dict = field(repr=False, compare=False, hash=False, default=None)
-    # Adjacency built once by build_graph: the arcs leaving and entering
-    # each node, in gram order, and the arc joining each node pair.
+    # Adjacency built once by build_graph: the arcs leaving each node, in
+    # gram order, and the arc joining each node pair.
     out_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
-    in_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
     arc_of: dict = field(repr=False, compare=False, hash=False, default=None)
 
     @property
@@ -85,15 +84,13 @@ def build_graph(s: GramSet) -> DeBruijnGraph:
     arc_init = tuple(index[g[:-1]] for g in s.grams)
     arc_term = tuple(index[g[1:]] for g in s.grams)
     out_adj = [[] for _ in nodes]
-    in_adj = [[] for _ in nodes]
     arc_of = {}
     for a, (u, v) in enumerate(zip(arc_init, arc_term)):
         out_adj[u].append(a)
-        in_adj[v].append(a)
         arc_of[u, v] = a
     return DeBruijnGraph(
         s, nodes, arc_init, arc_term, index,
-        tuple(map(tuple, out_adj)), tuple(map(tuple, in_adj)), arc_of,
+        tuple(map(tuple, out_adj)), arc_of,
     )
 
 
@@ -283,17 +280,16 @@ def eulerian_circuit(graph: DeBruijnGraph, multiplicities) -> list[int]:
     return walk
 
 
-def hamiltonian_cycle(
-    graph: DeBruijnGraph, budget: int = CYCLE_SEARCH_BUDGET
-) -> list[int]:
+def hamiltonian_cycle(graph: DeBruijnGraph) -> list[int]:
     """A cycle visiting every node exactly once, as node indices.
 
     For the full gram set the cycle is read off an Eulerian circuit of
     the order-(l-1) graph, whose arcs are exactly our nodes.  Otherwise
     it is the first cycle of length |V| the rooted search from node 0
     closes; exhausting the search space raises NotHamiltonianError while
-    hitting the step budget raises SearchBudgetExceeded (the two are
-    distinguishable on purpose).  The cycle starts at the smallest node.
+    running past CYCLE_SEARCH_BUDGET steps raises SearchBudgetExceeded
+    (the two are distinguishable on purpose).  The cycle starts at the
+    smallest node.
     """
     s = graph.gram_set
     if s.is_full():
@@ -310,7 +306,7 @@ def hamiltonian_cycle(
 
     if len(strongly_connected_components(graph)) != 1:
         raise NotHamiltonianError("graph is not strongly connected")
-    for path in _rooted_cycles(graph, 0, budget):
+    for path in _rooted_cycles(graph, 0, CYCLE_SEARCH_BUDGET):
         if len(path) == graph.n_nodes:
             return path[:]
     raise NotHamiltonianError("no Hamiltonian cycle exists")

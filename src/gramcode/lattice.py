@@ -385,25 +385,25 @@ def _lagrange(xs, ys):
 
 def fit_quasipolynomial(
     s: GramSet, degree: int, lam: int, mode: str = "F", residue: int = 0,
-    congruence: CongruenceBlock | None = None,
 ) -> QuasiPolynomial:
     """Fit the count polynomial of one dilation class, with a held-out check.
 
     Counts the points at M = lam*t + residue for t = 1..degree+1, runs
     exact Lagrange interpolation, then recounts at t = degree+2 and
     compares; a mismatch means the assumed degree or period is wrong
-    and raises FitMismatch.
+    and raises FitMismatch.  The degree must be nonnegative and lam
+    positive.
     """
+    if degree < 0 or lam < 1:
+        raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
     graph = build_graph(s)
     xs = list(range(1, degree + 2))
-    ys = [
-        count_points(FlowSystem(graph, lam * t + residue, mode, congruence)) for t in xs
-    ]
+    ys = [count_points(FlowSystem(graph, lam * t + residue, mode)) for t in xs]
     coeffs = _lagrange(xs, ys)
     poly = QuasiPolynomial(degree, lam, residue, mode, coeffs)
     t_check = degree + 2
     predicted = poly.evaluate(t_check)
-    actual = count_points(FlowSystem(graph, lam * t_check + residue, mode, congruence))
+    actual = count_points(FlowSystem(graph, lam * t_check + residue, mode))
     if predicted != actual:
         raise FitMismatch(
             f"held-out count at t={t_check} is {actual}, fit predicts {predicted}"
@@ -424,12 +424,12 @@ def reciprocity_check(f_poly: QuasiPolynomial, e_poly: QuasiPolynomial) -> bool:
     return True
 
 
-def monotonicity_check(s: GramSet, m_max: int, mode: str = "F") -> bool:
-    """count_points nondecreasing in the total for M = 1..m_max."""
+def monotonicity_check(s: GramSet, m_max: int) -> bool:
+    """Mode-F count_points nondecreasing in the total for M = 1..m_max."""
     graph = build_graph(s)
-    prev = count_points(FlowSystem(graph, 1, mode))
+    prev = count_points(FlowSystem(graph, 1))
     for m in range(2, m_max + 1):
-        cur = count_points(FlowSystem(graph, m, mode))
+        cur = count_points(FlowSystem(graph, m))
         if cur < prev:
             return False
         prev = cur

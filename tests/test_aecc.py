@@ -15,9 +15,9 @@ from gramcode.aecc import (
     format_code_file,
     is_prime,
     parse_code_file,
-    verify_min_distance,
 )
 from gramcode.grams import asym_distance
+from oracles import verify_min_distance
 
 
 def sieve(limit):

@@ -1,9 +1,9 @@
 import pytest
 
+from gramcode import channel
 from gramcode.channel import (
     ChannelTrace,
     Splitmix64,
-    brute_force_support_count,
     cycle_decomposition,
     inject,
     star_distance,
@@ -15,7 +15,8 @@ from gramcode.channel import (
     transmit,
 )
 from gramcode.grams import ChannelBudget, full_gram_set, lex_index, profile, word
-from gramcode.graphs import build_graph
+from gramcode.graphs import SearchBudgetExceeded, build_graph
+from oracles import brute_force_support_count
 
 
 def full_profile(x, ell):
@@ -118,14 +119,6 @@ def test_at_most_mode_and_bad_budgets():
     assert len(trace.dropped) <= 1 and len(trace.synthesis) <= 1
 
 
-def test_whole_gram_mode_changes_gram():
-    x = word("0110100", 2)
-    for seed in range(10):
-        _, trace = transmit(x, 2, ChannelBudget(s_seq=2), seed=seed, whole_gram=True)
-        for _idx, gram in trace.gram_subs:
-            assert len(gram) == 2
-
-
 def test_trace_json_round_trip(tmp_path):
     x = word("0110100", 2)
     _, trace = transmit(x, 2, ChannelBudget(1, 1, 2), seed=5)
@@ -209,6 +202,20 @@ def test_trail_decomposition_closed_when_possible():
     trails = cycle_decomposition(2, 3)
     for tr in trails:
         assert graph.arc_init[tr[0]] == graph.arc_term[tr[-1]]
+
+
+def test_trail_decomposition_pinned():
+    # (2, 2) has no closed decomposition: its Eulerian circuit is cut in two
+    assert cycle_decomposition(2, 2) == [[0, 1], [3, 2]]
+    assert cycle_decomposition(2, 3) == [[0, 1, 2, 4], [3, 7, 6, 5]]
+    assert cycle_decomposition(3, 2) == [[0, 1, 3], [2, 8, 6], [4, 5, 7]]
+
+
+def test_trail_decomposition_budget(monkeypatch):
+    # giving up is reported, not mistaken for "no closed decomposition"
+    monkeypatch.setattr(channel, "TRAIL_SEARCH_BUDGET", 1)
+    with pytest.raises(SearchBudgetExceeded):
+        cycle_decomposition(2, 3)
 
 
 def test_trail_decomposition_guard():

@@ -114,6 +114,8 @@ def test_validation_error_exit_code(tmp_path):
     short_header.write_text("2\n1 2 3\n")
     bare_p = tmp_path / "bare_p.txt"
     bare_p.write_text("p\nd 1\nbeta 0\nalphas 1 2 3\n")
+    three_counts = tmp_path / "three_counts.txt"
+    three_counts.write_text("2 2 weight 1 1 2 5\n0 0 1\n")
     code = tmp_path / "code.txt"
     run_cli("code-build", "--length", "3", "--d", "1", "--p", "5", "--out", str(code))
     for argv in (
@@ -125,6 +127,12 @@ def test_validation_error_exit_code(tmp_path):
         ("code-check", "--code", str(code), "--profile", str(short_header)),
         ("decode", "--codebook", str(empty), "--profile", str(short_header)),
         ("code-check", "--code", str(bare_p), "--profile", str(short_header)),
+        ("fit", "--set", "full", "2", "2", "--degree", "1", "--lambda", "0"),
+        ("fit", "--set", "full", "2", "2", "--degree", "-1", "--lambda", "2"),
+        ("simulate", "--word", "0110", "--q", "2", "--ell", "-1", "--seed", "1"),
+        ("simulate", "--word", "0110", "--q", "2", "--ell", "0", "--seed", "1"),
+        ("code-decode", "--code", str(code), "--profile", str(three_counts),
+         "--max-weight", "-1"),
     ):
         status, _ = run_cli(*argv)
         assert status == 2, argv

@@ -1,0 +1,90 @@
+"""Property checks on random inputs.
+
+Hypothesis runs derandomized and without its example database, so every
+run draws the same cases and writes nothing to disk.
+"""
+
+from itertools import count
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
+from gramcode.codec import euler_word, message_bound, systematic_encode, systematic_layout
+from gramcode.grams import ChannelBudget, Word, full_gram_set, profile
+from gramcode.graphs import build_graph
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+
+
+@st.composite
+def words(draw):
+    """(word, ell) with q, ell from SIZES and ell <= len(word) <= ell + 20."""
+    q, ell = draw(st.sampled_from(SIZES))
+    n = draw(st.integers(ell, ell + 20))
+    symbols = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    return Word(tuple(symbols), q), ell
+
+
+@PROPERTY
+@given(words())
+def test_euler_word_realizes_the_profile(case):
+    x, ell = case
+    s = full_gram_set(x.q, ell)
+    counts = profile(x, s).counts
+    y = euler_word(counts, s)
+    assert len(y) == len(x)
+    assert profile(y, s).counts == counts
+
+
+@PROPERTY
+@given(words(), st.integers(0, 2**64 - 1), st.data())
+def test_inject_replays_transmit(case, seed, data):
+    x, ell = case
+    n_grams = len(x) - ell + 1
+    t = data.draw(st.integers(0, n_grams))
+    budget = ChannelBudget(
+        data.draw(st.integers(0, len(x))), t, data.draw(st.integers(0, n_grams - t))
+    )
+    at_most = data.draw(st.booleans())
+    observed, trace = transmit(x, ell, budget, seed, at_most=at_most)
+    assert inject(x, ell, trace_from_json(trace_to_json(trace))) == observed
+    assert trace.seed == seed
+    if not at_most:
+        assert len(trace.synthesis) == budget.s_syn
+        assert len(trace.dropped) == budget.t
+        assert len(trace.gram_subs) == budget.s_seq
+    # every sequencing error changes exactly one symbol of a survivor
+    symbols = list(x.symbols)
+    for pos, new in trace.synthesis:
+        symbols[pos] = new
+    survivors = [
+        tuple(symbols[i : i + ell]) for i in range(n_grams) if i not in trace.dropped
+    ]
+    for idx, gram in trace.gram_subs:
+        assert sum(a != b for a, b in zip(survivors[idx], gram)) == 1
+    assert sum(observed.counts) == len(survivors)
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 3), (3, 2), (2, 4)]), st.integers(1, 3), st.data())
+def test_systematic_encode_keeps_flow_and_sum(size, m, data):
+    q, ell = size
+    graph = build_graph(full_gram_set(q, ell))
+    layout = systematic_layout(graph, m)
+    shortest = next(k for k in count(ell) if message_bound(graph, k) >= m)
+    n = data.draw(st.integers(shortest, shortest + 200))
+    message = data.draw(
+        st.lists(st.integers(0, m - 1), min_size=len(layout.info_positions),
+                 max_size=len(layout.info_positions))
+    )
+    counts = systematic_encode(layout, message, n).counts
+    assert sum(counts) == n - ell + 1
+    assert min(counts) >= 0
+    assert [counts[a] for a in layout.info_positions] == message
+    balance = [0] * graph.n_nodes
+    for a, c in enumerate(counts):
+        balance[graph.arc_term[a]] += c
+        balance[graph.arc_init[a]] -= c
+    assert not any(balance)
