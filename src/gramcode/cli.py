@@ -142,6 +142,8 @@ def cmd_enumerate(args):
     s = parse_set(args.set)
     echo_config(args, ["set", "n", "mode", "closed", "code"])
     if args.mode == "words":
+        if args.code:
+            raise ValueError("--code does not apply to --mode words")
         profiles = lattice.brute_force_profiles(args.n, s, closed_only=args.closed)
         emit("count", len(profiles))
         if args.points:
@@ -194,13 +196,15 @@ def cmd_simulate(args):
 
 def cmd_code_build(args):
     echo_config(args, ["length", "d", "p", "alphas", "beta"])
-    if args.p is None:
-        args.p = aecc.choose_prime(args.length, args.d)
     alphas = (
         tuple(int(t) for t in args.alphas.split(","))
         if args.alphas
         else tuple(range(1, args.length + 1))
     )
+    if len(alphas) != args.length:
+        raise ValueError(f"--alphas gives {len(alphas)} values for length {args.length}")
+    if args.p is None:
+        args.p = aecc.choose_prime(args.length, args.d)
     beta = tuple(int(t) for t in args.beta.split(",")) if args.beta else None
     code = aecc.build_code(args.p, alphas, args.d, beta)
     text = aecc.format_code_file(code)
@@ -235,16 +239,18 @@ def cmd_code_decode(args):
 
 def cmd_grc_build(args):
     s = parse_set(args.set)
-    echo_config(args, ["method", "set", "n", "code", "m", "distance"])
+    echo_config(args, ["method", "set", "n", "code", "m"])
     if args.method == "intersect":
-        code = _load_code(args.code)
-        book = codec.grc_intersect(code, args.n, s)
+        if args.code is None:
+            raise ValueError("intersect grc needs --code")
+        book = codec.grc_intersect(_load_code(args.code), args.n, s)
     else:
-        if args.m is None or args.distance is None:
-            raise ValueError("systematic grc needs --m and --distance")
+        if args.m is None:
+            raise ValueError("systematic grc needs --m")
+        # The messages are all of [m]^k, at asymmetric distance 1.
         layout = codec.systematic_layout(graphs.build_graph(s), args.m)
         words = product(range(args.m), repeat=len(layout.info_positions))
-        book = codec.systematic_grc(words, layout, args.n, args.distance)
+        book = codec.systematic_grc(words, layout, args.n, 1)
     emit("codewords", len(book))
     emit("distance", book.distance)
     text = codec.format_codebook_file(book)
@@ -498,7 +504,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--code", help="code file (intersect)")
     p.add_argument("--m", type=int, help="message alphabet (systematic)")
-    p.add_argument("--distance", type=int, help="declared distance (systematic)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_grc_build)
 

@@ -27,7 +27,13 @@ from .grams import (
     lex_index,
     parse_gram_set_spec,
 )
-from .graphs import DeBruijnGraph, build_graph, eulerian_walk, hamiltonian_cycle
+from .graphs import (
+    DeBruijnGraph,
+    build_graph,
+    eulerian_walk,
+    hamiltonian_cycle,
+    net_outflow,
+)
 from .lattice import CongruenceBlock, enumerate_points, flow_system_for_words
 
 
@@ -149,22 +155,19 @@ def systematic_encode(
 
     total = n - s.ell + 1
     counts = [0] * graph.n_arcs
-    inflow = [0] * graph.n_nodes
     for a, v in zip(layout.info_positions, message):
         counts[a] = v
-        if not graph.is_loop(a):
-            inflow[graph.arc_term[a]] += v
-            inflow[graph.arc_init[a]] -= v
+    outflow = net_outflow(graph, counts)
 
     cycle = layout.ham_cycle
     k = len(cycle)
-    start = rotation_start([inflow[c] for c in cycle])
+    start = rotation_start([-outflow[c] for c in cycle])
     order = [cycle[(start + i) % k] for i in range(k)]
     running = 0
     for i, node in enumerate(order):
         arc = graph.arc_between(order[i - 1], node)
         counts[arc] = 1 + running
-        running += inflow[node]
+        running -= outflow[node]
 
     leftover = total - sum(counts)
     if leftover < 0:
@@ -172,20 +175,9 @@ def systematic_encode(
             f"message too heavy for n={n}: loop count would be {leftover}"
         )
     counts[layout.loop_arc] += leftover
-    _check_systematic(graph, counts, total)
+    if sum(counts) != total or any(net_outflow(graph, counts)):
+        raise AssertionError("systematic encoding broke the sum or flow conservation")
     return ProfileVector(tuple(counts))
-
-
-def _check_systematic(graph, counts, total):
-    if sum(counts) != total:
-        raise AssertionError("systematic encoding lost the sum constraint")
-    flow = [0] * graph.n_nodes
-    for a, c in enumerate(counts):
-        if not graph.is_loop(a):
-            flow[graph.arc_term[a]] += c
-            flow[graph.arc_init[a]] -= c
-    if any(flow):
-        raise AssertionError("systematic encoding broke flow conservation")
 
 
 @dataclass(frozen=True)
@@ -220,14 +212,12 @@ def grc_intersect(code: VarshamovCode, n: int, s: GramSet) -> GrcCodebook:
 
 
 def systematic_grc(
-    aecc_words, layout: SystematicLayout, n: int, distance: int,
-    override: bool = False,
+    aecc_words, layout: SystematicLayout, n: int, distance: int
 ) -> GrcCodebook:
-    """Image of an AECC under the systematic encoder; distance is preserved
-    because restriction to the info positions recovers the original word."""
-    codewords = tuple(
-        systematic_encode(layout, v, n, override=override).counts for v in aecc_words
-    )
+    """Image of an AECC, within the layout's alphabet bound for n, under the
+    systematic encoder.  Restricting a codeword to the info positions
+    recovers its word, so the words' asymmetric distance `distance` holds."""
+    codewords = tuple(systematic_encode(layout, v, n).counts for v in aecc_words)
     return GrcCodebook(n, layout.gram_set, codewords, distance, "systematic")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .grams import GramSet, full_gram_set
+from .grams import GramSet
 
 CYCLE_SEARCH_BUDGET = 10_000_000
 
@@ -34,7 +34,6 @@ class DeBruijnGraph:
     nodes: tuple[tuple[int, ...], ...]
     arc_init: tuple[int, ...]
     arc_term: tuple[int, ...]
-    _node_index: dict = field(repr=False, compare=False, hash=False, default=None)
     # Adjacency built once by build_graph: the arcs leaving each node, in
     # gram order, and the arc joining each node pair.
     out_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
@@ -47,9 +46,6 @@ class DeBruijnGraph:
     @property
     def n_arcs(self):
         return len(self.gram_set)
-
-    def node_index(self, node) -> int:
-        return self._node_index[tuple(node)]
 
     def node_label(self, i: int) -> str:
         return "".join(map(str, self.nodes[i]))
@@ -89,8 +85,7 @@ def build_graph(s: GramSet) -> DeBruijnGraph:
         out_adj[u].append(a)
         arc_of[u, v] = a
     return DeBruijnGraph(
-        s, nodes, arc_init, arc_term, index,
-        tuple(map(tuple, out_adj)), arc_of,
+        s, nodes, arc_init, arc_term, tuple(map(tuple, out_adj)), arc_of
     )
 
 
@@ -187,22 +182,23 @@ def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
     return comps
 
 
-def degrees(graph: DeBruijnGraph):
-    """(in-degree, out-degree) per node, loops counting once on each side."""
-    indeg = [0] * graph.n_nodes
-    outdeg = [0] * graph.n_nodes
-    for a in range(graph.n_arcs):
-        outdeg[graph.arc_init[a]] += 1
-        indeg[graph.arc_term[a]] += 1
-    return indeg, outdeg
+def net_outflow(graph: DeBruijnGraph, counts) -> list[int]:
+    """Per node, the counts on the arcs leaving it minus those entering it.
+
+    A loop leaves and enters the same node, so it cancels itself.  Counts
+    are a circulation (a closed word's profile) iff every entry is 0.
+    """
+    net = [0] * graph.n_nodes
+    for u, v, c in zip(graph.arc_init, graph.arc_term, counts):
+        net[u] += c
+        net[v] -= c
+    return net
 
 
 def is_eulerian(graph: DeBruijnGraph) -> bool:
     """True iff the graph is strongly connected and balanced at every node."""
-    indeg, outdeg = degrees(graph)
-    if any(i != o for i, o in zip(indeg, outdeg)):
-        return False
-    return len(strongly_connected_components(graph)) == 1
+    balanced = not any(net_outflow(graph, [1] * graph.n_arcs))
+    return balanced and len(strongly_connected_components(graph)) == 1
 
 
 def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
@@ -226,24 +222,12 @@ def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
     if total == 0:
         raise ValueError("empty multigraph")
 
-    surplus = [0] * graph.n_nodes
-    for a, m in enumerate(mult):
-        if m:
-            surplus[graph.arc_init[a]] += m
-            surplus[graph.arc_term[a]] -= m
-    sources = [v for v in range(graph.n_nodes) if surplus[v] > 0]
-    sinks = [v for v in range(graph.n_nodes) if surplus[v] < 0]
-    if not sources and not sinks:
-        start = min(
-            graph.arc_init[a] for a, m in enumerate(mult) if m
-        )
-    elif (
-        len(sources) == 1
-        and len(sinks) == 1
-        and surplus[sources[0]] == 1
-        and surplus[sinks[0]] == -1
-    ):
-        start = sources[0]
+    # The nodes with nonzero surplus, as (surplus, node) pairs.
+    ends = sorted((s, v) for v, s in enumerate(net_outflow(graph, mult)) if s)
+    if not ends:
+        start = min(graph.arc_init[a] for a, m in enumerate(mult) if m)
+    elif [s for s, _v in ends] == [-1, 1]:
+        start = ends[1][1]
     else:
         raise ValueError("arc multiset is neither balanced nor a single open walk")
 
@@ -283,27 +267,13 @@ def eulerian_circuit(graph: DeBruijnGraph, multiplicities) -> list[int]:
 def hamiltonian_cycle(graph: DeBruijnGraph) -> list[int]:
     """A cycle visiting every node exactly once, as node indices.
 
-    For the full gram set the cycle is read off an Eulerian circuit of
-    the order-(l-1) graph, whose arcs are exactly our nodes.  Otherwise
-    it is the first cycle of length |V| the rooted search from node 0
-    closes; exhausting the search space raises NotHamiltonianError while
-    running past CYCLE_SEARCH_BUDGET steps raises SearchBudgetExceeded
-    (the two are distinguishable on purpose).  The cycle starts at the
-    smallest node.
+    The same search serves every gram set: after a strong-connectivity
+    check, the first cycle of length |V| that the rooted search from node
+    0 closes, so the cycle starts at node 0.  Exhausting the search space
+    raises NotHamiltonianError while running past CYCLE_SEARCH_BUDGET
+    steps raises SearchBudgetExceeded (the two are distinguishable on
+    purpose).
     """
-    s = graph.gram_set
-    if s.is_full():
-        if s.ell == 2:
-            return list(range(graph.n_nodes))
-        sub = build_graph(full_gram_set(s.q, s.ell - 1))
-        walk = eulerian_walk(sub, [1] * sub.n_arcs)
-        cycle = []
-        for u, v in zip(walk, walk[1:]):
-            gram = sub.nodes[u] + (sub.nodes[v][-1],)
-            cycle.append(graph.node_index(gram))
-        k = cycle.index(min(cycle))
-        return cycle[k:] + cycle[:k]
-
     if len(strongly_connected_components(graph)) != 1:
         raise NotHamiltonianError("graph is not strongly connected")
     for path in _rooted_cycles(graph, 0, CYCLE_SEARCH_BUDGET):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grams import GramSet
-from .graphs import DeBruijnGraph, build_graph
+from .graphs import DeBruijnGraph, build_graph, net_outflow
 
 BRUTE_FORCE_GUARD = 10**8
 
@@ -109,13 +109,9 @@ def _plan(system: FlowSystem):
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
-    targets = [0] * graph.n_nodes
-    total = system.m_total
-    if system.mode == "E":
-        total -= len(arcs)
-        for a, b in arcs:
-            targets[a] += 1
-            targets[b] -= 1
+    shift = int(system.mode == "E")
+    total = system.m_total - shift * len(arcs)
+    targets = net_outflow(graph, [shift] * len(arcs))
     in_left = [0] * graph.n_nodes
     out_left = [0] * graph.n_nodes
     for a, b in arcs:

@@ -5,7 +5,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from gramcode import aecc, codec, grams, graphs, lattice
+from gramcode import aecc, codec, grams, lattice
 
 
 def pytest_configure(config):

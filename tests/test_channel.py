@@ -14,7 +14,7 @@ from gramcode.channel import (
     trace_to_json,
     transmit,
 )
-from gramcode.grams import ChannelBudget, full_gram_set, lex_index, profile, word
+from gramcode.grams import ChannelBudget, full_gram_set, profile, word
 from gramcode.graphs import SearchBudgetExceeded, build_graph
 from oracles import brute_force_support_count
 

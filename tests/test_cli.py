@@ -9,7 +9,9 @@ import pytest
 
 from gramcode import graphs
 from gramcode.cli import main
+from gramcode.codec import parse_codebook_file
 from gramcode.grams import build_weight_set, lex_index
+from oracles import verify_min_distance
 
 
 def run_cli(*argv):
@@ -103,6 +105,12 @@ def test_validation_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("--threads", "1", "graph-info", "--set", "full", "2", "2")
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        run_cli(
+            "grc-build", "--method", "systematic", "--set", "full", "2", "3",
+            "--n", "20", "--m", "2", "--distance", "1",
+        )
+    assert err.value.code == 2
 
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -133,6 +141,10 @@ def test_validation_error_exit_code(tmp_path):
         ("simulate", "--word", "0110", "--q", "2", "--ell", "0", "--seed", "1"),
         ("code-decode", "--code", str(code), "--profile", str(three_counts),
          "--max-weight", "-1"),
+        ("grc-build", "--method", "intersect", "--set", "full", "2", "3", "--n", "20"),
+        ("enumerate", "--set", "full", "2", "3", "--n", "10", "--mode", "words",
+         "--code", str(tmp_path / "missing.txt")),
+        ("code-build", "--length", "3", "--d", "1", "--alphas", "1,2"),
     ):
         status, _ = run_cli(*argv)
         assert status == 2, argv
@@ -203,10 +215,19 @@ def test_grc_build_systematic(tmp_path):
     book_path = tmp_path / "book.txt"
     status, out = run_cli(
         "grc-build", "--method", "systematic", "--set", "full", "2", "3",
-        "--n", "20", "--m", "2", "--distance", "1", "--out", str(book_path),
+        "--n", "20", "--m", "2", "--out", str(book_path),
     )
     assert status == 0 and grab(out, "codewords") == "8"
     assert "14 1 0 1 1 0 1 0" in book_path.read_text()
+    # the header's d is the distance of [m]^k, and the codewords keep it
+    for ell, n in ((3, 20), (4, 80)):
+        status, out = run_cli(
+            "grc-build", "--method", "systematic", "--set", "full", "2", str(ell),
+            "--n", str(n), "--m", "2", "--out", str(book_path),
+        )
+        book = parse_codebook_file(book_path.read_text())
+        assert status == 0 and grab(out, "distance") == "1" and book.distance == 1
+        assert verify_min_distance(book.codewords) >= book.distance
 
 
 def test_grc_build_and_decode(tmp_path):

@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from gramcode.aecc import build_code
+from gramcode.aecc import build_code, code_size_ambient
 from gramcode.codec import (
     GrcCodebook,
     decode_profile,
@@ -192,11 +192,12 @@ def test_grc_intersect_beta_classes_are_disjoint():
 
 def test_systematic_grc_preserves_size_and_restriction():
     code = build_code(5, (1, 2, 3), 2)
-    aecc_words = [u for u in product(range(39), repeat=3) if code.is_member(u)]
-    assert len(aecc_words) == 2368
-    layout = systematic_layout(build_graph(S23), 39)
-    book = systematic_grc(aecc_words, layout, 158, distance=3, override=True)
-    assert len(book) == 2368
+    layout = systematic_layout(build_graph(S23), 17)
+    assert message_bound(layout.graph, 158) == 17
+    aecc_words = [u for u in product(range(17), repeat=3) if code.is_member(u)]
+    assert len(aecc_words) == code_size_ambient(code, 17) == 199
+    book = systematic_grc(aecc_words, layout, 158, distance=3)
+    assert len(book) == 199
     for u, v in zip(book.codewords[::97], aecc_words[::97]):
         assert tuple(u[a] for a in layout.info_positions) == v
 

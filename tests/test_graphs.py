@@ -1,14 +1,13 @@
 import pytest
 
 from gramcode import graphs
-from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set, profile, word
+from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
 from gramcode.graphs import (
     NotHamiltonianError,
     SearchBudgetExceeded,
     auxiliary_dag,
     build_graph,
     cycle_length_lcm,
-    degrees,
     eulerian_circuit,
     eulerian_walk,
     growth_exponent,
@@ -16,6 +15,7 @@ from gramcode.graphs import (
     incidence,
     integer_rank,
     is_eulerian,
+    net_outflow,
     simple_cycle_lengths,
     strongly_connected_components,
 )
@@ -113,8 +113,7 @@ def test_balanced_degrees_on_weight_windows():
                 for w1 in range(1, ell):
                     for w2 in range(w1 + 1, ell + 1):
                         g = build_graph(build_weight_set(q, ell, q_star, w1, w2))
-                        indeg, outdeg = degrees(g)
-                        assert indeg == outdeg
+                        assert not any(net_outflow(g, [1] * g.n_arcs))
 
 
 def test_eulerian_circuit_covers_multiplicities():
@@ -157,12 +156,25 @@ def test_hamiltonian_full_cube():
     assert [g.node_label(v) for v in cycle] == ["00", "01", "11", "10"]
     g2 = build_graph(full_gram_set(2, 2))
     assert hamiltonian_cycle(g2) == [0, 1]
-    # consecutive cycle nodes are joined by arcs
-    for graph in (g, build_graph(full_gram_set(3, 2)), build_graph(full_gram_set(2, 4))):
-        cyc = hamiltonian_cycle(graph)
-        assert sorted(cyc) == list(range(graph.n_nodes))
-        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-            assert graph.arc_between(u, v) is not None
+    pinned = {
+        (2, 4): "000 001 010 101 011 111 110 100",
+        (3, 3): "00 01 10 02 21 11 12 22 20",
+    }
+    for (q, ell), labels in pinned.items():
+        graph = build_graph(full_gram_set(q, ell))
+        assert [graph.node_label(v) for v in hamiltonian_cycle(graph)] == labels.split()
+    # every full cube with q <= 16 and at most 512 nodes: the cycle starts
+    # at node 0, visits every node once and follows arcs of the graph
+    for q in range(2, 17):
+        for ell in range(2, 11):
+            if q ** (ell - 1) > 512:
+                break
+            graph = build_graph(full_gram_set(q, ell))
+            cyc = hamiltonian_cycle(graph)
+            assert cyc[0] == 0
+            assert sorted(cyc) == list(range(graph.n_nodes))
+            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                assert graph.arc_between(u, v) is not None
 
 
 def test_hamiltonian_absent():

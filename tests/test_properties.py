@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
 from gramcode.codec import euler_word, message_bound, systematic_encode, systematic_layout
 from gramcode.grams import ChannelBudget, Word, full_gram_set, profile
-from gramcode.graphs import build_graph
+from gramcode.graphs import build_graph, net_outflow
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
@@ -36,6 +36,21 @@ def test_euler_word_realizes_the_profile(case):
     y = euler_word(counts, s)
     assert len(y) == len(x)
     assert profile(y, s).counts == counts
+
+
+@PROPERTY
+@given(words())
+def test_profile_outflow_marks_the_word_ends(case):
+    # a word's profile is a flow from its first (l-1)-gram to its last
+    x, ell = case
+    s = full_gram_set(x.q, ell)
+    graph = build_graph(s)
+    first = graph.nodes.index(x.symbols[: ell - 1])
+    last = graph.nodes.index(x.symbols[len(x) - ell + 1 :])
+    expected = [0] * graph.n_nodes
+    if first != last:
+        expected[first], expected[last] = 1, -1
+    assert net_outflow(graph, profile(x, s).counts) == expected
 
 
 @PROPERTY
