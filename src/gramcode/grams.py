@@ -249,21 +249,23 @@ def profile_lenient(x: Word, s: GramSet):
     return ProfileVector(tuple(counts)), foreign
 
 
-def asym_delta(u, v) -> int:
-    """One-sided positive difference sum max(u_i - v_i, 0)."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch {len(u)} != {len(v)}")
-    return sum(a - b for a, b in zip(u, v) if a > b)
-
-
 def asym_distance(u, v) -> int:
-    """Asymmetric distance: max of the two one-sided difference sums.
+    """Asymmetric distance: the larger of the one-sided difference sums
+    sum max(u_i - v_i, 0) and sum max(v_i - u_i, 0).
 
     A metric on count vectors; for equal-sum vectors it equals half
     the L1 distance.
     """
-    return max(asym_delta(u, v), asym_delta(v, u))
+    u, v = tuple(u), tuple(v)
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch {len(u)} != {len(v)}")
+    up = down = 0
+    for a, b in zip(u, v):
+        if a > b:
+            up += a - b
+        else:
+            down += b - a
+    return max(up, down)
 
 
 def gram_distance(x: Word, y: Word, s: GramSet) -> int:

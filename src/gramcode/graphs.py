@@ -5,7 +5,8 @@ grams of S as arcs (a gram is an arc from its prefix to its suffix).
 Everything here is exact integer combinatorics: connectivity, degree
 balance, Eulerian walks with a fixed deterministic tie-break, simple
 cycle lengths and their lcm, Hamiltonian cycles, and the growth
-exponent of profile counts read off a condensation DAG.
+exponent of profile counts read off the condensation, whose components
+Tarjan's search closes in reverse topological order.
 """
 
 from __future__ import annotations
@@ -132,12 +133,16 @@ def integer_rank(matrix) -> int:
     return rank
 
 
-def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
-    """Tarjan SCCs, returned as sorted node-index lists, sorted by least node."""
+def _tarjan(graph: DeBruijnGraph) -> list[list[int]]:
+    """Tarjan's strongly connected components, in the order they close.
+
+    A component closes only after every component it reaches, so an arc
+    leaving a component enters one listed earlier: the list is a reverse
+    topological order of the condensation.  Node lists are unsorted.
+    """
     n = graph.n_nodes
-    index = [-1] * n
+    index = [-1] * n  # a closed node gets n, which lowers no low-link
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -152,34 +157,31 @@ def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            recurse = False
             succ = graph.successors(v)
             for i in range(pi, len(succ)):
                 w = succ[i]
                 if index[w] == -1:
                     work.append((v, i + 1))
                     work.append((w, 0))
-                    recurse = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    comps.sort(key=min)
+                low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n
+                    comps.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return comps
+
+
+def strongly_connected_components(graph: DeBruijnGraph) -> list[list[int]]:
+    """Tarjan SCCs, returned as sorted node-index lists, sorted by least node."""
+    return sorted(sorted(comp) for comp in _tarjan(graph))
 
 
 def net_outflow(graph: DeBruijnGraph, counts) -> list[int]:
@@ -337,77 +339,34 @@ def cycle_length_lcm(graph: DeBruijnGraph):
     return math.lcm(*lengths), sorted(lengths)
 
 
-@dataclass(frozen=True)
-class AuxiliaryDag:
-    """Condensation of D(S) with the growth-exponent weighting.
+def growth_exponent(graph: DeBruijnGraph):
+    """(Delta, Delta_bar) read off the condensation of D(S).
 
-    One node per strongly connected component plus a source and a sink.
-    Source arcs weigh 0; arcs from component i weigh delta_i + 1 when
-    they cross to another component and delta_i when they enter the
-    sink, where delta_i = |S_i| - |V_i| counts intra-component arcs
-    against nodes.
+    Each component C weighs delta_C = (arcs inside C) - |C|, and each arc
+    between components weighs 1.  Delta, the polynomial growth degree of
+    the number of achievable profiles, is the heaviest path of the
+    condensation; Delta_bar, the closed-word analogue, is the largest
+    delta_C.  In closing order every successor of C is already done, so
+    one pass gives the heaviest path from C as delta_C plus
+    max(0, 1 + the heaviest path from each successor).
     """
-
-    components: tuple[tuple[int, ...], ...]
-    deltas: tuple[int, ...]
-    cross_arcs: tuple[tuple[int, int], ...]
-
-
-def auxiliary_dag(graph: DeBruijnGraph) -> AuxiliaryDag:
-    comps = strongly_connected_components(graph)
-    comp_of = {}
+    comps = _tarjan(graph)
+    comp_of = [0] * graph.n_nodes
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    members = [set(c) for c in comps]
     deltas = []
+    heaviest = []
     for i, comp in enumerate(comps):
-        internal = sum(
-            1
-            for a in range(graph.n_arcs)
-            if graph.arc_init[a] in members[i] and graph.arc_term[a] in members[i]
-        )
-        deltas.append(internal - len(comp))
-    cross = sorted(
-        {
-            (comp_of[graph.arc_init[a]], comp_of[graph.arc_term[a]])
-            for a in range(graph.n_arcs)
-            if comp_of[graph.arc_init[a]] != comp_of[graph.arc_term[a]]
-        }
-    )
-    return AuxiliaryDag(tuple(tuple(c) for c in comps), tuple(deltas), tuple(cross))
-
-
-def growth_exponent(graph: DeBruijnGraph):
-    """(Delta, Delta_bar): longest source-to-sink weight in the auxiliary
-    DAG, and the largest per-component delta.
-
-    Delta is the polynomial growth degree of the number of achievable
-    profiles; Delta_bar is the closed-word analogue.
-    """
-    dag = auxiliary_dag(graph)
-    k = len(dag.components)
-    succ = [[] for _ in range(k)]
-    indeg = [0] * k
-    for i, j in dag.cross_arcs:
-        succ[i].append(j)
-        indeg[j] += 1
-    # Longest path ending at each component, seeded from the source (weight 0).
-    order = [i for i in range(k) if indeg[i] == 0]
-    best = [0] * k
-    seen = []
-    while order:
-        i = order.pop()
-        seen.append(i)
-        for j in succ[i]:
-            w = best[i] + dag.deltas[i] + 1
-            if w > best[j]:
-                best[j] = w
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    if len(seen) != k:
-        raise RuntimeError("condensation was not acyclic")
-    delta = max(best[i] + dag.deltas[i] for i in range(k))
-    delta_bar = max(dag.deltas)
-    return delta, delta_bar
+        delta = -len(comp)
+        tail = 0
+        for v in comp:
+            for w in graph.successors(v):
+                j = comp_of[w]
+                if j == i:
+                    delta += 1
+                else:
+                    tail = max(tail, 1 + heaviest[j])
+        deltas.append(delta)
+        heaviest.append(delta + tail)
+    return max(heaviest), max(deltas)

@@ -173,7 +173,7 @@ def _scan(system: FlowSystem):
     levels, total, miss, pinned_arc, weights, pin_const = _plan(system)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
-    if total < 0 or pos != -sum(m for m in miss if m < 0):
+    if total < 0:
         return
     cong = system.congruence
     beta = None

@@ -1,6 +1,7 @@
 """Exhaustive reference scans that tests compare the library against."""
 
 from gramcode.grams import asym_distance
+from gramcode.graphs import strongly_connected_components
 
 
 def brute_force_support_count(n: int, ell: int) -> int:
@@ -29,3 +30,29 @@ def verify_min_distance(codebook):
                 if best == 0:
                     return 0
     return best
+
+
+def growth_exponent_by_paths(graph):
+    """(Delta, Delta_bar) by listing every path of the condensation.
+
+    A path's weight is the sum of (internal arcs - nodes) over its
+    components plus one per arc between them.  Delta is the heaviest
+    path, Delta_bar the heaviest path with a single component.
+    """
+    comps = strongly_connected_components(graph)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    deltas = [-len(comp) for comp in comps]
+    succ = [set() for _ in comps]
+    for u, v in zip(graph.arc_init, graph.arc_term):
+        if comp_of[u] == comp_of[v]:
+            deltas[comp_of[u]] += 1
+        else:
+            succ[comp_of[u]].add(comp_of[v])
+    heaviest = None
+    paths = [[i] for i in range(len(comps))]
+    while paths:
+        path = paths.pop()
+        weight = sum(deltas[i] for i in path) + len(path) - 1
+        heaviest = weight if heaviest is None else max(heaviest, weight)
+        paths.extend(path + [j] for j in succ[path[-1]])
+    return heaviest, max(deltas)

@@ -97,7 +97,7 @@ def test_simulate_requires_seed():
     assert err.value.code == 2
 
 
-def test_validation_error_exit_code(tmp_path):
+def test_validation_error_exit_code(tmp_path, capsys):
     status, _ = run_cli("graph-info", "--set", "weight", "2", "4", "9", "2", "3")
     assert status == 2
     status, _ = run_cli("graph-info", "--set", "full", "2")
@@ -145,9 +145,21 @@ def test_validation_error_exit_code(tmp_path):
         ("enumerate", "--set", "full", "2", "3", "--n", "10", "--mode", "words",
          "--code", str(tmp_path / "missing.txt")),
         ("code-build", "--length", "3", "--d", "1", "--alphas", "1,2"),
+        # flags the chosen mode would ignore
+        ("enumerate", "--set", "full", "2", "2", "--n", "4", "--closed"),
+        ("enumerate", "--set", "full", "2", "2", "--n", "4", "--mode", "E", "--closed"),
+        ("grc-build", "--method", "systematic", "--set", "full", "2", "3",
+         "--n", "20", "--m", "2", "--code", str(tmp_path / "missing.txt")),
+        ("grc-build", "--method", "intersect", "--set", "full", "2", "3",
+         "--n", "20", "--code", str(code), "--m", "2"),
+        ("roundtrip", "--preset", "rank", "--message", "1,0,1"),
+        ("roundtrip", "--preset", "systematic", "--perm", "0,1,2"),
     ):
+        capsys.readouterr()
         status, _ = run_cli(*argv)
         assert status == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error ") and err.count("\n") == 1, (argv, err)
 
 
 def test_module_entry_point_reports_bad_file(tmp_path):
@@ -318,6 +330,17 @@ def test_roundtrip_presets():
         "roundtrip", "--preset", "rank", "--ssyn", "1", "--t", "0", "--sseq", "0",
     )
     assert status == 2  # noisy run without a seed
+
+
+def test_tables_row_must_match(capsys):
+    for table, row in (("I", "nosuchrow"), ("II", "nomatch"), ("III", "nomatch")):
+        capsys.readouterr()
+        status, out = run_cli("tables", "--id", table, "--row", row)
+        assert status == 2, table
+        assert "tables-ok" not in out
+        assert capsys.readouterr().err == f"error --row {row!r} matches no row of table {table}\n"
+    status, out = run_cli("tables", "--id", "III", "--row", "2 3 full d=1")
+    assert status == 0 and grab(out, "tables-ok") == "true"
 
 
 def test_tables_ii():

@@ -5,7 +5,6 @@ from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
 from gramcode.graphs import (
     NotHamiltonianError,
     SearchBudgetExceeded,
-    auxiliary_dag,
     build_graph,
     cycle_length_lcm,
     eulerian_circuit,
@@ -243,9 +242,18 @@ def test_growth_exponent_two_components():
     g = build_graph(TWO_COMPONENT_SET)
     delta, delta_bar = growth_exponent(g)
     assert (delta, delta_bar) == (3, 1)
-    dag = auxiliary_dag(g)
-    assert dag.deltas == (1, 1)
-    assert dag.cross_arcs == ((0, 1),)
+
+
+def test_growth_exponent_three_component_chain():
+    # {0,1}: 3 arcs on 2 nodes, delta 1; {2}: no loop, delta -1;
+    # {3,4}: 4 arcs on 2 nodes, delta 2.  The chain 0,1 -> 2 -> 3,4 weighs
+    # 1 + 1 + (-1) + 1 + 2 = 4, more than {3,4} alone.
+    s = explicit_gram_set(
+        5, 2, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4)]
+    )
+    g = build_graph(s)
+    assert strongly_connected_components(g) == [[0, 1], [2], [3, 4]]
+    assert growth_exponent(g) == (4, 2)
 
 
 def test_growth_exponent_strongly_connected():

@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 
 from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
 from gramcode.codec import euler_word, message_bound, systematic_encode, systematic_layout
-from gramcode.grams import ChannelBudget, Word, full_gram_set, profile
-from gramcode.graphs import build_graph, net_outflow
+from gramcode.grams import (
+    ChannelBudget,
+    Word,
+    asym_distance,
+    explicit_gram_set,
+    full_gram_set,
+    gram_at,
+    profile,
+)
+from gramcode.graphs import build_graph, growth_exponent, net_outflow
+from oracles import growth_exponent_by_paths
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
@@ -25,6 +34,14 @@ def words(draw):
     n = draw(st.integers(ell, ell + 20))
     symbols = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     return Word(tuple(symbols), q), ell
+
+
+@st.composite
+def gram_sets(draw):
+    """An explicit gram set of 1 to 30 grams with q <= 4 and q**ell <= 32."""
+    q, ell = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
+    picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=30))
+    return explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
 
 
 @PROPERTY
@@ -103,3 +120,20 @@ def test_systematic_encode_keeps_flow_and_sum(size, m, data):
         balance[graph.arc_term[a]] += c
         balance[graph.arc_init[a]] -= c
     assert not any(balance)
+
+
+@PROPERTY
+@given(gram_sets())
+def test_growth_exponent_is_the_heaviest_condensation_path(s):
+    graph = build_graph(s)
+    assert growth_exponent(graph) == growth_exponent_by_paths(graph)
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.data())
+def test_asym_distance_is_the_larger_one_sided_sum(n, data):
+    u = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    v = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    up = sum(a - b for a, b in zip(u, v) if a > b)
+    down = sum(b - a for a, b in zip(u, v) if b > a)
+    assert asym_distance(u, v) == max(up, down)
