@@ -3,9 +3,12 @@
 A code is the set of nonnegative integer vectors u with H u = beta
 (mod p), where row j of H holds the (j+1)-th powers of N distinct
 nonzero residues.  With d rows the code corrects any asymmetric error
-of L1-weight at most d (its asymmetric distance is d+1).  Decoding here
-is exhaustive bounded-weight search, exact at the scales this package
-targets; membership and sizing are plain modular arithmetic.
+of L1-weight at most d (its asymmetric distance is d+1).  Decoding up
+to weight d is algebraic, after Varshamov (1973) and Klove (1981): the
+syndrome gives the power sums of the error locators, Newton's identities
+the locator polynomial, and its roots among the alphas the error.  Only
+weights past d, where two codewords can tie, are searched pattern by
+pattern.  Membership and sizing are plain modular arithmetic.
 """
 
 from __future__ import annotations
@@ -150,32 +153,71 @@ def code_size_ambient(code: VarshamovCode, m: int) -> int:
 def decode_bounded(code: VarshamovCode, received, max_weight: int):
     """Recover the codeword from an asymmetric (all-decreasing) error.
 
-    Tries error patterns e >= 0 in increasing L1 weight, each as the
-    multiset of coordinates it raises, and returns the unique codeword
-    received + e.  Two hits at the same weight raise AmbiguousDecode
-    (the error exceeded the design guarantee); exhausting max_weight
-    raises DecodeFailure.
+    Returns the codeword received + e for the error e >= 0 of least
+    L1 weight.  Up to weight d the decoding is algebraic: the syndrome
+    difference beta - H received gives the power sums s_1..s_d of the
+    error locators (alpha_i repeated e_i times), Newton's identities
+    turn s_1..s_w into the locator polynomial of a weight-w error, and
+    its roots among the alphas, with multiplicity, give e.  So each
+    weight w <= d has at most one candidate, kept only if it is a
+    member.  Past d the error patterns of each weight are searched, and
+    two hits at the same weight raise AmbiguousDecode (the error
+    exceeded the design guarantee); exhausting max_weight raises
+    DecodeFailure.
     """
     received = tuple(received)
     if len(received) != code.length:
         raise ValueError(f"vector length {len(received)} != {code.length}")
     if max_weight < 0:
         raise ValueError(f"error weight bound must be nonnegative, got {max_weight}")
-    for w in range(max_weight + 1):
-        hits = []
-        for support in combinations_with_replacement(range(code.length), w):
-            candidate = list(received)
-            for i in support:
+    p = code.p
+    sums = [(b - s) % p for b, s in zip(code.beta, code.syndrome(received))]
+    # elementary symmetric functions of the locators by Newton's identities,
+    # k e_k = sum_i (-1)^(i-1) e_(k-i) s_i with k <= d < p invertible mod p;
+    # a weight-w error has e_1..e_w of its own w locators
+    elementary = [1]
+    for k in range(1, min(max_weight, code.d) + 1):
+        total = sum((-1) ** (i - 1) * elementary[k - i] * sums[i - 1] for i in range(1, k + 1))
+        elementary.append(total * pow(k, -1, p) % p)
+    for w in range(len(elementary)):
+        # x^w - e_1 x^(w-1) + ... + (-1)^w e_w, highest degree first: its roots
+        # are the locators, each divided out by synthetic division at an alpha
+        locator = [(-1) ** k * elementary[k] % p for k in range(w + 1)]
+        candidate = list(received)
+        for i, a in enumerate(code.alphas):
+            while len(locator) > 1:
+                quotient = []
+                remainder = 0
+                for c in locator:
+                    remainder = (remainder * a + c) % p
+                    quotient.append(remainder)
+                if quotient.pop():
+                    break
+                locator = quotient
                 candidate[i] += 1
-            if code.is_member(candidate):
-                hits.append(tuple(candidate))
-                if len(hits) > 1:
-                    raise AmbiguousDecode(
-                        f"two codewords at error weight {w}: {hits[0]} and {hits[1]}"
-                    )
-        if hits:
-            return hits[0]
+        if len(locator) == 1 and code.is_member(candidate):
+            return tuple(candidate)
+    for w in range(code.d + 1, max_weight + 1):
+        hit = _search_weight(code, received, w)
+        if hit is not None:
+            return hit
     raise DecodeFailure(f"no codeword within error weight {max_weight}")
+
+
+def _search_weight(code: VarshamovCode, received, w: int):
+    """The codeword received + e over the errors e of weight w, or None; two raise AmbiguousDecode."""
+    hits = []
+    for support in combinations_with_replacement(range(code.length), w):
+        candidate = list(received)
+        for i in support:
+            candidate[i] += 1
+        if code.is_member(candidate):
+            hits.append(tuple(candidate))
+            if len(hits) > 1:
+                raise AmbiguousDecode(
+                    f"two codewords at error weight {w}: {hits[0]} and {hits[1]}"
+                )
+    return hits[0] if hits else None
 
 
 # --- code spec files -------------------------------------------------------

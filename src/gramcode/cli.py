@@ -327,6 +327,8 @@ def _report(label, computed, reference):
 
 def cmd_tables(args):
     echo_config(args, ["id", "row", "deep"])
+    if args.deep and (args.id != "III" or args.row is not None):
+        raise ValueError("--deep applies only to --id III without --row")
     ok = True
     wanted = args.row
     matched = []
@@ -400,6 +402,8 @@ def _example_headline(t):
 
 def cmd_roundtrip(args):
     echo_config(args, ["preset", "message", "perm", "n", "ssyn", "t", "sseq", "seed"])
+    if args.seed is not None and not (args.ssyn or args.t or args.sseq):
+        raise ValueError("--seed does not apply to a noiseless roundtrip")
     if args.preset == "systematic":
         if args.perm is not None:
             raise ValueError("--perm does not apply to --preset systematic")

@@ -1,5 +1,6 @@
 """Exhaustive reference scans that tests compare the library against."""
 
+from gramcode.aecc import AmbiguousDecode, DecodeFailure
 from gramcode.grams import asym_distance
 from gramcode.graphs import strongly_connected_components
 
@@ -56,3 +57,37 @@ def growth_exponent_by_paths(graph):
         heaviest = weight if heaviest is None else max(heaviest, weight)
         paths.extend(path + [j] for j in succ[path[-1]])
     return heaviest, max(deltas)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def exhaustive_decode(code, received, max_weight):
+    """Reference decoder: every error vector of each weight, by composition."""
+    for w in range(max_weight + 1):
+        hits = []
+        for e in _compositions(w, code.length):
+            candidate = tuple(r + x for r, x in zip(received, e))
+            if code.is_member(candidate):
+                hits.append(candidate)
+                if len(hits) > 1:
+                    raise AmbiguousDecode(f"two codewords at error weight {w}")
+        if hits:
+            return hits[0]
+    raise DecodeFailure(f"no codeword within error weight {max_weight}")
+
+
+def decode_outcome(decode, code, received, max_weight):
+    """A decoder's codeword, or "ambiguous" or "failure" for its exception."""
+    try:
+        return decode(code, received, max_weight)
+    except AmbiguousDecode:
+        return "ambiguous"
+    except DecodeFailure:
+        return "failure"

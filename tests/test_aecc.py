@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from gramcode import aecc
 from gramcode.aecc import (
     AmbiguousDecode,
     DecodeFailure,
@@ -17,7 +18,7 @@ from gramcode.aecc import (
     parse_code_file,
 )
 from gramcode.grams import asym_distance
-from oracles import verify_min_distance
+from oracles import decode_outcome, exhaustive_decode, verify_min_distance
 
 
 def sieve(limit):
@@ -136,39 +137,6 @@ def test_decode_beyond_guarantee_is_unreliable():
         pass
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def exhaustive_decode(code, received, max_weight):
-    """Reference decoder: every error vector of each weight, by composition."""
-    for w in range(max_weight + 1):
-        hits = []
-        for e in _compositions(w, code.length):
-            candidate = tuple(r + x for r, x in zip(received, e))
-            if code.is_member(candidate):
-                hits.append(candidate)
-                if len(hits) > 1:
-                    raise AmbiguousDecode(f"two codewords at error weight {w}")
-        if hits:
-            return hits[0]
-    raise DecodeFailure(f"no codeword within error weight {max_weight}")
-
-
-def _outcome(decode, code, received, max_weight):
-    try:
-        return decode(code, received, max_weight)
-    except AmbiguousDecode:
-        return "ambiguous"
-    except DecodeFailure:
-        return "failure"
-
-
 def test_decode_matches_exhaustive_oracle():
     rng = random.Random(7)
     kinds = Counter()
@@ -179,10 +147,49 @@ def test_decode_matches_exhaustive_oracle():
         code = build_code(p, rng.sample(range(1, p), n), d, beta)
         received = tuple(rng.randint(0, 3) for _ in range(n))
         max_weight = rng.randint(0, 4)
-        expected = _outcome(exhaustive_decode, code, received, max_weight)
-        assert _outcome(decode_bounded, code, received, max_weight) == expected
+        expected = decode_outcome(exhaustive_decode, code, received, max_weight)
+        assert decode_outcome(decode_bounded, code, received, max_weight) == expected
         kinds[expected if isinstance(expected, str) else "unique"] += 1
     assert kinds["unique"] and kinds["ambiguous"] and kinds["failure"], kinds
+
+
+STORAGE_CODE = (41, range(1, 40), 3)
+HEADLINE_CODE = (13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
+
+
+def test_decode_storage_code_every_weight_up_to_d():
+    # p=41, alphas 1..39, d=3: codewords minus errors of weight 0..3, among
+    # them all weight on one coordinate (a triple locator root) and (2, 1, 0, ...)
+    p, alphas, d = STORAGE_CODE
+    base = build_code(p, alphas, d)
+    rng = random.Random(11)
+    for _ in range(4):
+        u = tuple(rng.randint(3, 9) for _ in range(39))
+        code = build_code(p, alphas, d, base.syndrome(u))
+        errors = [(0,) * 39, (3,) + (0,) * 38, (2, 1) + (0,) * 37, (0,) * 38 + (2,)]
+        for w in range(1, 4):
+            e = [0] * 39
+            for _unit in range(w):
+                e[rng.randrange(39)] += 1
+            errors.append(tuple(e))
+        for e in errors:
+            received = tuple(c - x for c, x in zip(u, e))
+            assert decode_bounded(code, received, d) == u, e
+
+
+def test_decode_up_to_d_never_searches(monkeypatch):
+    # the exhaustive search serves only weights past d
+    def refuse(*args):
+        raise AssertionError("exhaustive search used at a weight <= d")
+
+    monkeypatch.setattr(aecc, "_search_weight", refuse)
+    rng = random.Random(5)
+    for p, alphas, d in (STORAGE_CODE, HEADLINE_CODE):
+        code = build_code(p, alphas, d, [rng.randrange(p) for _ in range(d)])
+        for _ in range(50):
+            received = tuple(rng.randint(0, 4) for _ in range(code.length))
+            for max_weight in range(d + 1):
+                decode_outcome(decode_bounded, code, received, max_weight)
 
 
 def test_decode_long_code():

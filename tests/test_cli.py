@@ -154,6 +154,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
          "--n", "20", "--code", str(code), "--m", "2"),
         ("roundtrip", "--preset", "rank", "--message", "1,0,1"),
         ("roundtrip", "--preset", "systematic", "--perm", "0,1,2"),
+        ("roundtrip", "--preset", "rank", "--seed", "5"),
+        ("tables", "--id", "I", "--row", "c(2,2)", "--deep"),
+        ("tables", "--id", "III", "--row", "2 3 full d=1", "--deep"),
     ):
         capsys.readouterr()
         status, _ = run_cli(*argv)
@@ -330,6 +333,10 @@ def test_roundtrip_presets():
         "roundtrip", "--preset", "rank", "--ssyn", "1", "--t", "0", "--sseq", "0",
     )
     assert status == 2  # noisy run without a seed
+    status, out = run_cli(
+        "roundtrip", "--preset", "rank", "--t", "1", "--seed", "7",
+    )
+    assert status == 0 and grab(out, "roundtrip-ok") == "true"
 
 
 def test_tables_row_must_match(capsys):

@@ -9,6 +9,7 @@ from itertools import count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramcode.aecc import build_code, decode_bounded
 from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
 from gramcode.codec import euler_word, message_bound, systematic_encode, systematic_layout
 from gramcode.grams import (
@@ -21,10 +22,11 @@ from gramcode.grams import (
     profile,
 )
 from gramcode.graphs import build_graph, growth_exponent, net_outflow
-from oracles import growth_exponent_by_paths
+from oracles import decode_outcome, exhaustive_decode, growth_exponent_by_paths
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
 @st.composite
@@ -137,3 +139,42 @@ def test_asym_distance_is_the_larger_one_sided_sum(n, data):
     up = sum(a - b for a, b in zip(u, v) if a > b)
     down = sum(b - a for a, b in zip(u, v) if b > a)
     assert asym_distance(u, v) == max(up, down)
+
+
+@st.composite
+def decode_cases(draw):
+    """(code, received, max_weight, sent, error) on a random code with d <= 4.
+
+    The received vector is uniform (entries from -1, so some are negative),
+    or a codeword minus an error of weight <= d, at times all on one
+    coordinate; beta is chosen so that the drawn codeword is a member.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, min(8, p - 1)))
+    d = draw(st.integers(1, min(4, p - 1)))
+    alphas = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n, unique=True))
+    max_weight = draw(st.integers(0, d + 1))
+    if draw(st.booleans()):
+        beta = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        received = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        return build_code(p, alphas, d, beta), tuple(received), max_weight, None, None
+    sent = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    error = [0] * n
+    if draw(st.booleans()):
+        error[draw(st.integers(0, n - 1))] = draw(st.integers(1, d))
+    else:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=d)):
+            error[i] += 1
+    code = build_code(p, alphas, d, build_code(p, alphas, d).syndrome(sent))
+    received = tuple(c - x for c, x in zip(sent, error))
+    return code, received, max_weight, tuple(sent), error
+
+
+@settings(PROPERTY, max_examples=400)
+@given(decode_cases())
+def test_decode_bounded_matches_the_exhaustive_oracle(case):
+    code, received, max_weight, sent, error = case
+    outcome = decode_outcome(decode_bounded, code, received, max_weight)
+    assert outcome == decode_outcome(exhaustive_decode, code, received, max_weight)
+    if sent is not None and sum(error) <= min(code.d, max_weight):
+        assert outcome == sent
