@@ -355,7 +355,7 @@ def cmd_tables(args):
             if not selected(label):
                 continue
             s = grams.build_weight_set(2, ell, 1, w1, w2)
-            if lam is not None and lam <= 1000:
+            if lam is not None:
                 computed_lam, _ = graphs.cycle_length_lcm(graphs.build_graph(s))
                 ok &= _report(f"{label} lambda", computed_lam, lam)
             if not fit:
@@ -404,9 +404,14 @@ def cmd_roundtrip(args):
     echo_config(args, ["preset", "message", "perm", "n", "ssyn", "t", "sseq", "seed"])
     if args.seed is not None and not (args.ssyn or args.t or args.sseq):
         raise ValueError("--seed does not apply to a noiseless roundtrip")
+    if args.preset == "systematic" and args.perm is not None:
+        raise ValueError("--perm does not apply to --preset systematic")
+    if args.preset == "rank" and args.message is not None:
+        raise ValueError("--message does not apply to --preset rank")
+    budget = grams.ChannelBudget(args.ssyn, args.t, args.sseq)
+    if args.seed is None and budget != grams.ChannelBudget():
+        raise ValueError("noisy roundtrip needs --seed")
     if args.preset == "systematic":
-        if args.perm is not None:
-            raise ValueError("--perm does not apply to --preset systematic")
         s = grams.full_gram_set(2, 3)
         layout = codec.systematic_layout(graphs.build_graph(s), 2)
         n = args.n or 20
@@ -416,7 +421,7 @@ def cmd_roundtrip(args):
         emit("profile", u.counts)
         word_out = codec.euler_word(u.counts, s)
         emit("word", grams.word_text(word_out))
-        observed = _maybe_noise(args, word_out, s.ell)
+        observed = _maybe_noise(word_out, s.ell, budget, args.seed)
         emit("observed", observed.counts)
         book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
         result = codec.decode_profile(book, observed.counts)
@@ -425,8 +430,6 @@ def cmd_roundtrip(args):
         emit("roundtrip-ok", decoded == message)
         return 0 if decoded == message else 3
     if args.preset == "rank":
-        if args.message is not None:
-            raise ValueError("--message does not apply to --preset rank")
         layout = codec.rank_modulation_layout(2, 3)
         n = args.n or 14
         perm = tuple(int(t) for t in (args.perm or "0,1,2").split(","))
@@ -435,7 +438,7 @@ def cmd_roundtrip(args):
         emit("profile", u.counts)
         word_out = codec.euler_word(u.counts, layout.gram_set)
         emit("word", grams.word_text(word_out))
-        observed = _maybe_noise(args, word_out, 3)
+        observed = _maybe_noise(word_out, 3, budget, args.seed)
         decoded, ties = codec.rank_readout_decode(layout, observed.counts)
         emit("decoded-permutation", decoded)
         emit("ties", ties)
@@ -444,13 +447,11 @@ def cmd_roundtrip(args):
     raise ValueError(f"unknown preset {args.preset!r}")
 
 
-def _maybe_noise(args, word_out, ell):
-    budget = grams.ChannelBudget(args.ssyn, args.t, args.sseq)
-    if budget == grams.ChannelBudget():
+def _maybe_noise(word_out, ell, budget, seed):
+    """The observed profile: noiseless without a seed, else one seeded transmission."""
+    if seed is None:
         return channel.inject(word_out, ell, channel.ChannelTrace(None, (), (), ()))
-    if args.seed is None:
-        raise ValueError("noisy roundtrip needs --seed")
-    observed, _trace = channel.transmit(word_out, ell, budget, args.seed)
+    observed, _trace = channel.transmit(word_out, ell, budget, seed)
     return observed
 
 

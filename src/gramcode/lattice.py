@@ -11,10 +11,11 @@ endpoints, so its value follows from the earlier levels; a *decision*
 level ranges over an interval; the last decision is *pinned*, solved
 from the remaining total.  Intervals come from remaining-sum bounds,
 per-node imbalance reachability, and each endpoint's balance once its
-in- or out-arcs are exhausted.  An optional modular
-block (H, p, beta) restricts points to a congruence class, which is how
-code intersections are counted.  Everything is exact: integers and
-Fractions only.
+in- or out-arcs are exhausted.  An optional modular block (H, p, beta)
+restricts points to a congruence class, which is how code
+intersections are counted; the scan compares H u with beta once per
+point, at its last level.  Everything is exact: integers and Fractions
+only.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .grams import GramSet
 from .graphs import DeBruijnGraph, build_graph, net_outflow
@@ -93,19 +95,19 @@ def _plan(system: FlowSystem):
     enters it (in) or leaves it (out); the DFS then bounds the value by
     that node's missing balance.  A non-loop arc that closes one of its
     endpoints on both sides is *forced*: its value is an integer affine
-    form in the decisions.  Every other arc, loops included, is a
-    *decision*.  So the sum over the levels from the last decision on is
-    affine in the decisions; solved against the remaining total it fixes
-    that last decision, the *pinned* level, which removes one search
-    dimension.  No level is pinned when there are no decisions or the
-    last one has zero net weight.
+    form in the values of the decision levels.  Every other arc, loops
+    included, is a *decision*, with the form {i: 1}.  So the sum over
+    the levels from the last decision on is affine in the decisions;
+    solved against the remaining total it fixes that last decision, the
+    *pinned* level, which removes one search dimension.  No level is
+    pinned when there are no decisions or the last one has zero net
+    weight.
 
-    Returns (levels, total, targets, pinned_arc, weights, pin_const).
-    levels[i] = (a, b, k, a_in_done, a_out_done, b_in_done, b_out_done)
-    with k the decision index of level i, or -1 on a forced level;
-    pinned_arc is the pinned level, or -1.  The pinned decision's value
-    is rem - pin_const minus weights[k] * (decision k) for each earlier
-    decision k, divided by weights[-1].
+    Returns (levels, total, targets, pinned, pin_weight, pin_terms,
+    pin_const).  levels[i] = (a, b, a_in_done, a_out_done, b_in_done,
+    b_out_done); pinned is the pinned level, or -1.  The pinned value is
+    rem - pin_const minus w * (value of level j) for each (j, w) in
+    pin_terms, divided by pin_weight.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -119,12 +121,11 @@ def _plan(system: FlowSystem):
             out_left[a] += 1
             in_left[b] += 1
 
-    # Affine forms are {decision index: coefficient}, the key -1 holding
+    # Affine forms are {decision level: coefficient}, the key -1 holding
     # the constant.  miss[v] is node v's missing balance as such a form.
     miss = [{-1: t} if t else {} for t in targets]
     levels = []
     forms = []
-    ndec = 0
     last_dec = len(arcs)
     for i, (a, b) in enumerate(arcs):
         done = (False, False, False, False)
@@ -132,75 +133,64 @@ def _plan(system: FlowSystem):
             out_left[a] -= 1
             in_left[b] -= 1
             done = (in_left[a] == 0, out_left[a] == 0, in_left[b] == 0, out_left[b] == 0)
-        k = -1
         if done[0] and done[1]:
             form = {key: -c for key, c in miss[a].items()}
         elif done[2] and done[3]:
             form = dict(miss[b])
         else:
-            k, last_dec = ndec, i
-            ndec += 1
-            form = {k: 1}
+            last_dec = i
+            form = {i: 1}
         if a != b:
             for key, c in form.items():
                 miss[a][key] = miss[a].get(key, 0) + c
                 miss[b][key] = miss[b].get(key, 0) - c
-        levels.append((a, b, k) + done)
+        levels.append((a, b) + done)
         forms.append(form)
 
-    weights = [0] * ndec
-    pin_const = 0
+    pin = {}
     for form in forms[last_dec:]:
         for key, c in form.items():
-            if key < 0:
-                pin_const += c
-            else:
-                weights[key] += c
-    pinned_arc = last_dec if ndec and weights[-1] else -1
-    return levels, total, targets, pinned_arc, weights, pin_const
+            pin[key] = pin.get(key, 0) + c
+    pin_const = pin.pop(-1, 0)
+    pin_weight = pin.pop(last_dec, 0)
+    pin_terms = [(level, w) for level, w in pin.items() if w]
+    pinned = last_dec if pin_weight else -1
+    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const
 
 
 def _scan(system: FlowSystem):
     """Depth-first scan yielding the values of every point (pre-base-shift).
 
     An explicit stack of levels: level i keeps its value vals[i], its
-    upper bound his[i], and on entry the remaining total rems[i], the
-    positive missing balance poss[i] and the congruence residues saved[i].
-    A value c moves c units of missing balance from node b to node a, so
-    a loop leaves the balances as they are.  The yielded list is shared
-    and overwritten as the scan goes on.
+    upper bound his[i], and on entry the remaining total rems[i] and the
+    positive missing balance poss[i].  A value c moves c units of
+    missing balance from node b to node a, so a loop leaves the balances
+    as they are.  A congruence block is checked once per point, at the
+    last level, against residues shifted by the mode-E base.  The
+    yielded list is shared and overwritten as the scan goes on.
     """
-    levels, total, miss, pinned_arc, weights, pin_const = _plan(system)
+    levels, total, miss, pinned, pin_weight, pin_terms, pin_const = _plan(system)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
     if total < 0:
         return
     cong = system.congruence
-    beta = None
+    checks = ()
     if cong is not None:
+        # H u = H (vals + shift) = beta, so H vals = beta - shift * (row sums)
         p = cong.p
-        beta = list(cong.beta)
-        cols = [tuple(row[i] for row in cong.rows) for i in range(n)]
-        res = [0] * len(beta)
-        if system.mode == "E":
-            for col in cols:
-                for j, h in enumerate(col):
-                    res[j] = (res[j] + h) % p
-    # The pinned value is (rem - pin_const - sum of weight * decision) / pin_weight.
-    dec_levels = [i for i, level in enumerate(levels) if level[2] >= 0]
-    pin_terms = [(dec_levels[k], w) for k, w in enumerate(weights[:-1]) if w]
-    pin_weight = weights[-1] if weights else 0
+        shift = int(system.mode == "E")
+        checks = [(row, (b - shift * sum(row)) % p) for row, b in zip(cong.rows, cong.beta)]
     last = n - 1
     vals = [0] * n
     his = [0] * n
     rems = [0] * n
     poss = [0] * n
-    saved = [None] * n
     rems[0], poss[0] = total, pos
     i = 0
     step = None  # None: enter level i; else raise its value by step
     while i >= 0:
-        a, b, _, a_in, a_out, b_in, b_out = levels[i]
+        a, b, a_in, a_out, b_in, b_out = levels[i]
         rem = rems[i]
         if step is None:
             lo, hi = 0, rem
@@ -214,7 +204,7 @@ def _scan(system: FlowSystem):
                 hi = min(hi, miss[b])
             if i == last:
                 lo = max(lo, rem)
-            if i == pinned_arc:
+            if i == pinned:
                 need = rem - pin_const
                 for level, w in pin_terms:
                     need -= w * vals[level]
@@ -231,14 +221,10 @@ def _scan(system: FlowSystem):
             vals[i] = 0
             step = lo
             npos = poss[i]
-            if beta is not None:
-                saved[i] = res[:]
         elif vals[i] == his[i]:
             c = vals[i]
             miss[a] -= c
             miss[b] += c
-            if beta is not None:
-                res[:] = saved[i]
             i -= 1
             continue
         else:
@@ -253,15 +239,16 @@ def _scan(system: FlowSystem):
         npos += (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
         c = vals[i] + step
         vals[i] = c
-        if beta is not None:
-            for j, h in enumerate(cols[i]):
-                res[j] = (res[j] + h * step) % p
         step = 1
         if npos + c > rem:
             his[i] = c  # no larger value fits: the next pass leaves the level
         elif i == last:
-            # c == rem here, and npos + c <= rem left npos == 0
-            if beta is None or res == beta:
+            # c == rem here, and npos + c <= rem left npos == 0; the point
+            # is kept unless a congruence row misses its residue
+            for row, r in checks:
+                if sum(map(mul, row, vals)) % p != r:
+                    break
+            else:
                 yield vals
         else:
             rems[i + 1] = rem - c

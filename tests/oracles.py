@@ -2,7 +2,7 @@
 
 from gramcode.aecc import AmbiguousDecode, DecodeFailure
 from gramcode.grams import asym_distance
-from gramcode.graphs import strongly_connected_components
+from gramcode.graphs import net_outflow, strongly_connected_components
 
 
 def brute_force_support_count(n: int, ell: int) -> int:
@@ -66,6 +66,20 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def flow_points(graph, m_total, mode):
+    """Oracle: every point of FlowSystem(graph, m_total, mode), in lex order.
+
+    Scans all compositions of the total over the arcs (each part at least
+    1 in mode E) and keeps those with zero net outflow at every node.
+    """
+    base = int(mode == "E")
+    extra = m_total - base * graph.n_arcs
+    if extra < 0:
+        return []
+    points = (tuple(c + base for c in comp) for comp in _compositions(extra, graph.n_arcs))
+    return [u for u in points if not any(net_outflow(graph, u))]
 
 
 def exhaustive_decode(code, received, max_weight):

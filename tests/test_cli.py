@@ -98,10 +98,6 @@ def test_simulate_requires_seed():
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
-    status, _ = run_cli("graph-info", "--set", "weight", "2", "4", "9", "2", "3")
-    assert status == 2
-    status, _ = run_cli("graph-info", "--set", "full", "2")
-    assert status == 2
     with pytest.raises(SystemExit) as err:
         run_cli("--threads", "1", "graph-info", "--set", "full", "2", "2")
     assert err.value.code == 2
@@ -127,6 +123,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
     code = tmp_path / "code.txt"
     run_cli("code-build", "--length", "3", "--d", "1", "--p", "5", "--out", str(code))
     for argv in (
+        ("graph-info", "--set", "weight", "2", "4", "9", "2", "3"),
+        ("graph-info", "--set", "full", "2"),
         ("graph-info", "--set", "explicit", str(empty)),
         ("graph-info", "--set", "explicit", str(one_token)),
         ("graph-info", "--set", "explicit", str(grams_on_header)),
@@ -155,14 +153,19 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("roundtrip", "--preset", "rank", "--message", "1,0,1"),
         ("roundtrip", "--preset", "systematic", "--perm", "0,1,2"),
         ("roundtrip", "--preset", "rank", "--seed", "5"),
+        ("roundtrip", "--preset", "rank", "--ssyn", "1"),
+        ("roundtrip", "--preset", "systematic", "--ssyn", "-1", "--seed", "5"),
         ("tables", "--id", "I", "--row", "c(2,2)", "--deep"),
         ("tables", "--id", "III", "--row", "2 3 full d=1", "--deep"),
     ):
         capsys.readouterr()
-        status, _ = run_cli(*argv)
+        status, out = run_cli(*argv)
         assert status == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error ") and err.count("\n") == 1, (argv, err)
+        # nothing but the config echo reaches stdout before the error
+        for line in out.splitlines():
+            assert line.startswith(("format ", "command ", "config ")), (argv, line)
 
 
 def test_module_entry_point_reports_bad_file(tmp_path):
@@ -354,5 +357,8 @@ def test_tables_ii():
     status, out = run_cli("tables", "--id", "II")
     assert status == 0
     assert "computed 1/360 reference 1/360 PASS" in out
+    for label, lam in (("c(2,5;1,[2,4])", 27720), ("c(2,6;1,[3,4])", 65520),
+                       ("c(2,6;1,[3,5])", 5354228880)):
+        assert grab(out, f"{label} lambda") == f"computed {lam} reference {lam} PASS"
     assert grab(out, "tables-ok") == "true"
     assert "SKIPPED" in out

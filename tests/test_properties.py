@@ -5,6 +5,7 @@ run draws the same cases and writes nothing to disk.
 """
 
 from itertools import count
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +17,15 @@ from gramcode.grams import (
     ChannelBudget,
     Word,
     asym_distance,
+    build_weight_set,
     explicit_gram_set,
     full_gram_set,
     gram_at,
     profile,
 )
 from gramcode.graphs import build_graph, growth_exponent, net_outflow
-from oracles import decode_outcome, exhaustive_decode, growth_exponent_by_paths
+from gramcode.lattice import CongruenceBlock, FlowSystem, count_points, enumerate_points
+from oracles import decode_outcome, exhaustive_decode, flow_points, growth_exponent_by_paths
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
@@ -178,3 +181,59 @@ def test_decode_bounded_matches_the_exhaustive_oracle(case):
     assert outcome == decode_outcome(exhaustive_decode, code, received, max_weight)
     if sent is not None and sum(error) <= min(code.d, max_weight):
         assert outcome == sent
+
+
+@st.composite
+def congruence_systems(draw):
+    """A flow system with a random congruence block on a small polytope.
+
+    Full, weight, explicit or cyclic-word gram sets with q, ell <= 3; 1
+    to 3 rows of random residues mod a prime below 30, so a row's sum is
+    often nonzero mod p and mode E's shift of beta matters; a random
+    beta; modes F and E; and a total small enough for the composition
+    oracle.  Unbalanced graphs in mode E give the pinned level a nonzero
+    constant.
+    """
+    q, ell = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    kind = draw(st.sampled_from(["full", "weight", "explicit", "cyclic"]))
+    if kind == "full":
+        s = full_gram_set(q, ell)
+    elif kind == "weight":
+        w1 = draw(st.integers(0, ell))
+        s = build_weight_set(q, ell, draw(st.integers(1, q - 1)), w1, draw(st.integers(w1, ell)))
+    elif kind == "explicit":
+        picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=q**ell))
+        s = explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+    else:
+        # the grams of a cyclic word: every arc lies on a cycle, so mode E
+        # has points, and repeated nodes often leave the graph unbalanced
+        word = draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=12))
+        wrapped = word * (ell + 1)
+        s = explicit_gram_set(q, ell, {tuple(wrapped[i : i + ell]) for i in range(len(word))})
+    graph = build_graph(s)
+    n = graph.n_arcs
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))
+    d = draw(st.integers(1, 3))
+    residues = st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(residues, min_size=n, max_size=n), min_size=d, max_size=d))
+    beta = draw(st.lists(residues, min_size=d, max_size=d))
+    mode = draw(st.sampled_from("FE"))
+    extra_max = max(e for e in range(13) if comb(e + n - 1, n - 1) <= 20000)
+    m = draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
+    block = CongruenceBlock(tuple(map(tuple, rows)), p, tuple(beta))
+    return FlowSystem(graph, m, mode, block)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(congruence_systems())
+def test_congruence_scan_filters_the_plain_scan(system):
+    plain = enumerate_points(FlowSystem(system.graph, system.m_total, system.mode))
+    assert plain == flow_points(system.graph, system.m_total, system.mode)
+    block = system.congruence
+    kept = [
+        u for u in plain
+        if all(sum(h * c for h, c in zip(row, u)) % block.p == b
+               for row, b in zip(block.rows, block.beta))
+    ]
+    assert enumerate_points(system) == kept
+    assert count_points(system) == len(kept)

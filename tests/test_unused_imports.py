@@ -20,9 +20,11 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    paths = sorted((ROOT / "src" / "gramcode").glob("*.py")) + sorted(
-        (ROOT / "tests").glob("*.py")
-    )
+    paths = [
+        path
+        for folder in (ROOT / "src" / "gramcode", ROOT / "tests", ROOT / "bench")
+        for path in sorted(folder.glob("*.py"))
+    ]
     unused = {
         f"{path.parent.name}/{path.name}: {name}"
         for path in paths
