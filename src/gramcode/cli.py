@@ -47,14 +47,14 @@ TABLE_II = (
 )
 
 TABLE_III = (
-    # label, lam_S, p, reference lam_GRC
-    ("2 3 full d=1", 12, 11, 132),
-    ("2 3 full d=2", 12, 13, 156),
-    ("2 3 full d=3", 12, 13, 156),
-    ("2 3 full d=4", 12, 17, 204),
-    ("2 4 full d=1", 840, 17, 14280),
-    ("2 5 weight[2,3] d=1", 120, 23, 2760),
-    ("2 5 weight[2,3] d=2", 120, 29, 3480),
+    # label, --set tokens, p, reference lam_GRC
+    ("2 3 full d=1", "full 2 3", 11, 132),
+    ("2 3 full d=2", "full 2 3", 13, 156),
+    ("2 3 full d=3", "full 2 3", 13, 156),
+    ("2 3 full d=4", "full 2 3", 17, 204),
+    ("2 4 full d=1", "full 2 4", 17, 14280),
+    ("2 5 weight[2,3] d=1", "weight 2 5 1 2 3", 23, 2760),
+    ("2 5 weight[2,3] d=2", "weight 2 5 1 2 3", 29, 3480),
 )
 
 
@@ -363,16 +363,11 @@ def cmd_tables(args):
                 continue
             poly = lattice.fit_quasipolynomial(s, degree, lam)
             ok &= _report(label, poly.leading_in_n, constant)
-    elif args.id == "III":
-        for label, lam_s, p, lam_grc in TABLE_III:
+    else:
+        for label, tokens, p, lam_grc in TABLE_III:
             if not selected(label):
                 continue
-            tokens = label.split()
-            q, ell = int(tokens[0]), int(tokens[1])
-            if tokens[2] == "full":
-                s = grams.full_gram_set(q, ell)
-            else:
-                s = grams.build_weight_set(q, ell, 1, 2, 3)
+            s = parse_set(tokens.split())
             computed_lam, _ = graphs.cycle_length_lcm(graphs.build_graph(s))
             ok &= _report(f"{label} lambda-grc", lcm(computed_lam, p), lam_grc)
             emit(f"{label} c(H,S)", "SKIPPED (long-running)")
@@ -380,8 +375,6 @@ def cmd_tables(args):
             ok &= _example_headline(t=1)
             if args.deep:
                 ok &= _example_headline(t=2)
-    else:
-        raise ValueError(f"unknown table {args.id!r}")
     if not matched:
         raise ValueError(f"--row {wanted!r} matches no row of table {args.id}")
     emit("tables-ok", ok)
@@ -411,6 +404,7 @@ def cmd_roundtrip(args):
     budget = grams.ChannelBudget(args.ssyn, args.t, args.sseq)
     if args.seed is None and budget != grams.ChannelBudget():
         raise ValueError("noisy roundtrip needs --seed")
+    # Without --seed the budget is zero: transmit draws nothing, so the word is observed as is.
     if args.preset == "systematic":
         s = grams.full_gram_set(2, 3)
         layout = codec.systematic_layout(graphs.build_graph(s), 2)
@@ -421,7 +415,7 @@ def cmd_roundtrip(args):
         emit("profile", u.counts)
         word_out = codec.euler_word(u.counts, s)
         emit("word", grams.word_text(word_out))
-        observed = _maybe_noise(word_out, s.ell, budget, args.seed)
+        observed, _trace = channel.transmit(word_out, s.ell, budget, args.seed or 0)
         emit("observed", observed.counts)
         book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
         result = codec.decode_profile(book, observed.counts)
@@ -429,30 +423,20 @@ def cmd_roundtrip(args):
         emit("decoded-message", decoded)
         emit("roundtrip-ok", decoded == message)
         return 0 if decoded == message else 3
-    if args.preset == "rank":
-        layout = codec.rank_modulation_layout(2, 3)
-        n = args.n or 14
-        perm = tuple(int(t) for t in (args.perm or "0,1,2").split(","))
-        u = codec.rank_encode(layout, perm, n)
-        emit("permutation", perm)
-        emit("profile", u.counts)
-        word_out = codec.euler_word(u.counts, layout.gram_set)
-        emit("word", grams.word_text(word_out))
-        observed = _maybe_noise(word_out, 3, budget, args.seed)
-        decoded, ties = codec.rank_readout_decode(layout, observed.counts)
-        emit("decoded-permutation", decoded)
-        emit("ties", ties)
-        emit("roundtrip-ok", decoded == perm)
-        return 0 if decoded == perm else 3
-    raise ValueError(f"unknown preset {args.preset!r}")
-
-
-def _maybe_noise(word_out, ell, budget, seed):
-    """The observed profile: noiseless without a seed, else one seeded transmission."""
-    if seed is None:
-        return channel.inject(word_out, ell, channel.ChannelTrace(None, (), (), ()))
-    observed, _trace = channel.transmit(word_out, ell, budget, seed)
-    return observed
+    layout = codec.rank_modulation_layout(2, 3)
+    n = args.n or 14
+    perm = tuple(int(t) for t in (args.perm or "0,1,2").split(","))
+    u = codec.rank_encode(layout, perm, n)
+    emit("permutation", perm)
+    emit("profile", u.counts)
+    word_out = codec.euler_word(u.counts, layout.gram_set)
+    emit("word", grams.word_text(word_out))
+    observed, _trace = channel.transmit(word_out, 3, budget, args.seed or 0)
+    decoded, ties = codec.rank_readout_decode(layout, observed.counts)
+    emit("decoded-permutation", decoded)
+    emit("ties", ties)
+    emit("roundtrip-ok", decoded == perm)
+    return 0 if decoded == perm else 3
 
 
 def build_parser():

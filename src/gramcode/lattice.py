@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 from .grams import GramSet
@@ -269,45 +270,40 @@ def enumerate_points(system: FlowSystem):
 
 
 def brute_force_profiles(n, s: GramSet, closed_only=False):
-    """Exact profile sets by scanning all words of length n with grams in s.
+    """Exact profile sets of the words of length n with grams in s.
 
-    The independent oracle for everything else in this module.  Scanning
-    prunes a word as soon as it leaves s, which does not change the
-    result.  Guarded at q**n <= 10**8 steps.
+    The independent oracle for everything else in this module: it reads
+    only s's grams, never the graph code the lattice scan relies on.
+    The words are swept one symbol at a time through a frontier keyed
+    by a word's first and last ell-1 symbols, each key holding the
+    profiles of the words read so far with those ends.  Words with the
+    same ends and profile have the same extensions, so each class is
+    kept once.  Guarded at q**n <= 10**8 words.
     """
     if s.q**n > BRUTE_FORCE_GUARD:
         raise GuardExceeded(f"{s.q}**{n} words exceed the enumeration guard")
-    ell = s.ell
-    if n < ell:
+    if n < s.ell:
         return set()
-    profiles: set[tuple[int, ...]] = set()
-    counts = [0] * len(s)
-    prefix: list[int] = []
-    index = s._index
-    q = s.q
-
-    def rec():
-        depth = len(prefix)
-        if depth == n:
-            if not closed_only or tuple(prefix[: ell - 1]) == tuple(prefix[n - ell + 1 :]):
-                profiles.add(tuple(counts))
-            return
-        for sym in range(q):
-            prefix.append(sym)
-            if depth + 1 >= ell:
-                idx = index.get(tuple(prefix[-ell:]))
-                if idx is None:
-                    prefix.pop()
-                    continue
-                counts[idx] += 1
-                rec()
-                counts[idx] -= 1
-            else:
-                rec()
-            prefix.pop()
-
-    rec()
-    return profiles
+    moves: dict[tuple[int, ...], list] = {}
+    for i, g in enumerate(s.grams):
+        moves.setdefault(g[:-1], []).append((i, g[1:]))
+    zero = (0,) * len(s.grams)
+    frontier = {(v, v): {zero} for v in product(range(s.q), repeat=s.ell - 1)}
+    for _ in range(n - s.ell + 1):
+        advanced: dict[tuple, set] = {}
+        while frontier:
+            (head, tail), profiles = frontier.popitem()
+            for i, nxt in moves.get(tail, ()):
+                bucket = advanced.setdefault((head, nxt), set())
+                for u in profiles:
+                    bucket.add(u[:i] + (u[i] + 1,) + u[i + 1 :])
+        frontier = advanced
+    return {
+        u
+        for (head, tail), profiles in frontier.items()
+        if head == tail or not closed_only
+        for u in profiles
+    }
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Exhaustive reference scans that tests compare the library against."""
 
+from itertools import product
+
 from gramcode.aecc import AmbiguousDecode, DecodeFailure
 from gramcode.grams import asym_distance
 from gramcode.graphs import net_outflow, strongly_connected_components
@@ -12,6 +14,29 @@ def brute_force_support_count(n: int, ell: int) -> int:
         bits = tuple((v >> i) & 1 for i in range(n))
         supports.add(frozenset(bits[i : i + ell] for i in range(n - ell + 1)))
     return len(supports)
+
+
+def word_profiles(n, s, closed_only=False):
+    """Oracle: the profiles of every length-n word whose grams all lie in s.
+
+    Scans all q**n words; closed_only keeps the words whose first and
+    last ell-1 symbols agree.  A word shorter than ell has no profile.
+    """
+    index = {g: i for i, g in enumerate(s.grams)}
+    found = set()
+    if n < s.ell:
+        return found
+    for w in product(range(s.q), repeat=n):
+        grams = [w[i : i + s.ell] for i in range(n - s.ell + 1)]
+        if any(g not in index for g in grams):
+            continue
+        if closed_only and w[: s.ell - 1] != w[n - s.ell + 1 :]:
+            continue
+        counts = [0] * len(s.grams)
+        for g in grams:
+            counts[index[g]] += 1
+        found.add(tuple(counts))
+    return found
 
 
 def verify_min_distance(codebook):

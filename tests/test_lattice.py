@@ -99,6 +99,13 @@ def test_brute_force_two_component_counts():
         assert len(brute_force_profiles(n, s1)) == n + n // 2
 
 
+def test_brute_force_long_words():
+    # past the property's reach; counts from a scan of all 2**22 and 3**14 words
+    assert len(brute_force_profiles(22, S23)) == 9060
+    assert len(brute_force_profiles(22, S23, closed_only=True)) == 622
+    assert len(brute_force_profiles(14, S32, closed_only=True)) == 2775
+
+
 def test_brute_force_guard():
     with pytest.raises(GuardExceeded):
         brute_force_profiles(40, S22)

@@ -1,9 +1,7 @@
 import ast
 from pathlib import Path
 
-# Recursion left on purpose, with its depth bounded: brute_force_profiles
-# recurses once per symbol of a word (q**n <= BRUTE_FORCE_GUARD).
-ALLOWED = {("lattice.py", "brute_force_profiles.rec")}
+ALLOWED = set()
 
 
 def _self_calls(tree):
@@ -32,10 +30,11 @@ def _self_calls(tree):
 
 
 def test_no_function_calls_itself():
-    package = Path(__file__).resolve().parent.parent / "src" / "gramcode"
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "gramcode").glob("*.py")) + sorted((root / "bench").glob("*.py"))
     recursive = {
-        (path.name, name)
-        for path in sorted(package.glob("*.py"))
+        (str(path.relative_to(root)), name)
+        for path in paths
         for name in _self_calls(ast.parse(path.read_text()))
     }
     assert recursive == ALLOWED, sorted(recursive ^ ALLOWED)

@@ -24,8 +24,20 @@ from gramcode.grams import (
     profile,
 )
 from gramcode.graphs import build_graph, growth_exponent, net_outflow
-from gramcode.lattice import CongruenceBlock, FlowSystem, count_points, enumerate_points
-from oracles import decode_outcome, exhaustive_decode, flow_points, growth_exponent_by_paths
+from gramcode.lattice import (
+    CongruenceBlock,
+    FlowSystem,
+    brute_force_profiles,
+    count_points,
+    enumerate_points,
+)
+from oracles import (
+    decode_outcome,
+    exhaustive_decode,
+    flow_points,
+    growth_exponent_by_paths,
+    word_profiles,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
@@ -47,6 +59,20 @@ def gram_sets(draw):
     q, ell = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
     picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=30))
     return explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    st.integers(0, 8),
+    st.booleans(),
+    st.data(),
+)
+def test_brute_force_profiles_match_the_word_scan(size, n, closed_only, data):
+    q, ell = size
+    picks = data.draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=q**ell))
+    s = explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+    assert brute_force_profiles(n, s, closed_only) == word_profiles(n, s, closed_only)
 
 
 @PROPERTY
