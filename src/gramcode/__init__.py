@@ -17,9 +17,7 @@ from .grams import (
     dna_string,
     explicit_gram_set,
     full_gram_set,
-    gram_at,
     gram_distance,
-    lex_index,
     parse_dna,
     profile,
     profile_lenient,

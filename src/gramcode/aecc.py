@@ -31,7 +31,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit integers."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -100,8 +100,8 @@ def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
         raise ValueError(f"need p > N and p > d, got p={p}, N={n}, d={d}")
     if d < 1:
         raise ValueError("need at least one parity row")
-    if len(set(alphas)) != n or 0 in alphas:
-        raise ValueError("alphas must be distinct and nonzero mod p")
+    if not alphas or len(set(alphas)) != n or 0 in alphas:
+        raise ValueError("alphas must be nonempty, distinct and nonzero mod p")
     if beta is None:
         beta = (0,) * d
     beta = tuple(b % p for b in beta)

@@ -5,8 +5,9 @@ distinct positions of the word, loss of t of its gram occurrences, and
 a single-symbol substitution inside s_seq of the surviving occurrences.
 The observation is the resulting count vector over the full gram cube.
 Every random draw comes from a splitmix64 stream seeded explicitly, so
-traces replay bit-exactly anywhere; `inject` applies a trace verbatim,
-which is also how transmit itself works after sampling one.
+traces replay bit-exactly anywhere.  `inject` applies a trace verbatim;
+`transmit` draws one and applies it through the same helpers, building
+the survivors once for both the draws and the count.
 
 Draw order, for reproducibility: (with --at-most, one draw per budget
 entry first, each uniform on 0..budget) synthesis positions as a
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 
 from .grams import (
-    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, lex_index,
+    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set,
 )
 from .graphs import SearchBudgetExceeded, build_graph, eulerian_circuit
 
@@ -87,33 +88,48 @@ class ChannelTrace:
     gram_subs: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def inject(x: Word, ell: int, trace: ChannelTrace) -> ProfileVector:
-    """Apply a trace to a word; the observation over the full gram cube."""
+def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
+    """x's gram occurrences, in position order, after synthesis and drops."""
     n = len(x)
-    if not 1 <= ell <= n:
-        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
     symbols = list(x.symbols)
-    for pos, new in trace.synthesis:
+    for pos, new in synthesis:
         if not 0 <= pos < n:
             raise ValueError(f"synthesis position {pos} out of range")
         if symbols[pos] == new:
             raise ValueError("substitution must change the symbol")
         symbols[pos] = new
-    occurrences = [tuple(symbols[i : i + ell]) for i in range(n - ell + 1)]
-    dropped = set(trace.dropped)
-    if any(not 0 <= i < len(occurrences) for i in dropped):
+    n_grams = n - ell + 1
+    dropped = set(dropped)
+    if any(not 0 <= i < n_grams for i in dropped):
         raise ValueError("dropped index out of range")
-    survivors = [g for i, g in enumerate(occurrences) if i not in dropped]
-    for idx, new_gram in trace.gram_subs:
+    return [tuple(symbols[i : i + ell]) for i in range(n_grams) if i not in dropped]
+
+
+def _observe(survivors: list, gram_subs, q: int, ell: int) -> ProfileVector:
+    """Substitute grams in the survivors and count them over the full cube."""
+    for idx, new_gram in gram_subs:
         if not 0 <= idx < len(survivors):
             raise ValueError(f"substitution index {idx} out of range")
         if tuple(new_gram) == survivors[idx]:
             raise ValueError("gram substitution must change the gram")
         survivors[idx] = tuple(new_gram)
-    counts = [0] * x.q**ell
+    index = full_gram_set(q, ell).index
+    counts = [0] * len(index)
     for g in survivors:
-        counts[lex_index(g, x.q, ell)] += 1
+        i = index.get(g)
+        if i is None:
+            raise ValueError(f"gram {g} lies outside [{q}]^{ell}")
+        counts[i] += 1
     return ProfileVector(tuple(counts))
+
+
+def inject(x: Word, ell: int, trace: ChannelTrace) -> ProfileVector:
+    """Apply a trace to a word; the observation over the full gram cube."""
+    n = len(x)
+    if not 1 <= ell <= n:
+        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
+    survivors = _survivors(x, ell, trace.synthesis, trace.dropped)
+    return _observe(survivors, trace.gram_subs, x.q, ell)
 
 
 def transmit(
@@ -146,28 +162,19 @@ def transmit(
         raise ValueError(f"cannot substitute {s_syn} of {n} positions")
 
     q = x.q
-    synthesis = []
-    symbols = list(x.symbols)
-    for pos in rng.sample(n, s_syn):
-        new = (symbols[pos] + 1 + rng.below(q - 1)) % q
-        synthesis.append((pos, new))
-        symbols[pos] = new
+    synthesis = tuple(
+        (pos, (x.symbols[pos] + 1 + rng.below(q - 1)) % q) for pos in rng.sample(n, s_syn)
+    )
     dropped = tuple(rng.sample(n_grams, t))
-    dropped_set = set(dropped)
-    survivor_grams = [
-        tuple(symbols[i : i + ell])
-        for i in range(n_grams)
-        if i not in dropped_set
-    ]
+    survivors = _survivors(x, ell, synthesis, dropped)
     gram_subs = []
-    for idx in rng.sample(len(survivor_grams), s_seq):
-        old = survivor_grams[idx]
+    for idx in rng.sample(len(survivors), s_seq):
+        old = survivors[idx]
         inside = rng.below(ell)
         new_symbol = (old[inside] + 1 + rng.below(q - 1)) % q
-        new_gram = old[:inside] + (new_symbol,) + old[inside + 1 :]
-        gram_subs.append((idx, new_gram))
-    trace = ChannelTrace(seed, tuple(synthesis), dropped, tuple(gram_subs))
-    return inject(x, ell, trace), trace
+        gram_subs.append((idx, old[:inside] + (new_symbol,) + old[inside + 1 :]))
+    trace = ChannelTrace(seed, synthesis, dropped, tuple(gram_subs))
+    return _observe(survivors, trace.gram_subs, q, ell), trace
 
 
 def trace_to_json(trace: ChannelTrace) -> str:

@@ -187,11 +187,12 @@ def cmd_simulate(args):
     observed, trace = channel.transmit(
         word_in, args.ell, budget, args.seed, at_most=args.at_most
     )
-    emit("observed", observed.counts)
-    emit("observed-sum", observed.total)
     if args.trace:
         with open(args.trace, "w") as handle:
             handle.write(channel.trace_to_json(trace))
+    emit("observed", observed.counts)
+    emit("observed-sum", observed.total)
+    if args.trace:
         emit("trace-file", args.trace)
     return 0
 

@@ -24,7 +24,6 @@ from .grams import (
     asym_distance,
     full_gram_set,
     gram_set_spec,
-    lex_index,
     parse_gram_set_spec,
 )
 from .graphs import (
@@ -240,7 +239,8 @@ def project_observed(observed, s: GramSet):
         raise ValueError(
             f"observation length {len(observed)} matches neither |S| nor q^ell"
         )
-    projected = tuple(observed[lex_index(g, s.q, s.ell)] for g in s.grams)
+    index = full_gram_set(s.q, s.ell).index
+    projected = tuple(observed[index[g]] for g in s.grams)
     return projected, sum(observed) - sum(projected)
 
 

@@ -10,6 +10,7 @@ immutable and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -93,33 +94,6 @@ def parse_dna(text: str) -> Word:
     return Word(symbols, 4)
 
 
-def lex_index(gram, q: int, ell: int) -> int:
-    """0-based rank of a gram among all of [q]^ell in lexicographic order.
-
-    Equals the base-q value of the gram; inverse of :func:`gram_at`.
-    """
-    gram = tuple(gram)
-    if len(gram) != ell:
-        raise ValueError(f"gram length {len(gram)} != ell={ell}")
-    value = 0
-    for s in gram:
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} out of range for q={q}")
-        value = value * q + s
-    return value
-
-
-def gram_at(index: int, q: int, ell: int) -> tuple[int, ...]:
-    """The gram of rank `index` in lexicographic order over [q]^ell."""
-    if not 0 <= index < q**ell:
-        raise ValueError(f"index {index} out of range for q={q}, ell={ell}")
-    out = []
-    for _ in range(ell):
-        index, r = divmod(index, q)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def q_weight(symbols, q: int, q_star: int) -> int:
     """Number of symbols lying in the top band [q - q_star, q - 1]."""
     if not 1 <= q_star <= q - 1:
@@ -130,16 +104,20 @@ def q_weight(symbols, q: int, q_star: int) -> int:
 
 @dataclass(frozen=True)
 class GramSet:
-    """An ordered subset of [q]^ell with positional (lexicographic) indexing."""
+    """An ordered subset of [q]^ell with positional (lexicographic) indexing.
+
+    `index` maps each gram to its position in `grams`: the one gram
+    rank.  Over the full cube a gram's position is its base-q value.
+    """
 
     q: int
     ell: int
     grams: tuple[tuple[int, ...], ...]
-    _index: dict = field(repr=False, compare=False, hash=False, default=None)
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ell < 2:
-            raise ValueError("gram length must be >= 2")
+        if self.ell < 1:
+            raise ValueError("gram length must be >= 1")
         if not self.grams:
             raise ValueError("empty gram set")
         prev = None
@@ -152,13 +130,13 @@ class GramSet:
             if prev is not None and g <= prev:
                 raise ValueError("grams must be strictly sorted")
             prev = g
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.grams)})
+        object.__setattr__(self, "index", {g: i for i, g in enumerate(self.grams)})
 
     def __len__(self):
         return len(self.grams)
 
     def __contains__(self, gram):
-        return tuple(gram) in self._index
+        return tuple(gram) in self.index
 
     def is_full(self) -> bool:
         return len(self.grams) == self.q**self.ell
@@ -167,8 +145,9 @@ class GramSet:
         return "".join(map(str, self.grams[i]))
 
 
+@cache
 def full_gram_set(q: int, ell: int) -> GramSet:
-    """The unrestricted gram set [q]^ell."""
+    """The unrestricted gram set [q]^ell, built once per (q, ell)."""
     return GramSet(q, ell, tuple(product(range(q), repeat=ell)))
 
 
@@ -229,7 +208,7 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
     if len(x) < ell:
         raise ValueError(f"word of length {len(x)} has no {ell}-grams")
     for pos, g in enumerate(x.grams(ell)):
-        idx = s._index.get(g)
+        idx = s.index.get(g)
         if idx is None:
             raise OutOfSetGramError(g, pos)
         counts[idx] += 1
@@ -241,7 +220,7 @@ def profile_lenient(x: Word, s: GramSet):
     counts = [0] * len(s)
     foreign = 0
     for g in x.grams(s.ell):
-        idx = s._index.get(g)
+        idx = s.index.get(g)
         if idx is None:
             foreign += 1
         else:
@@ -316,6 +295,8 @@ def parse_gram_set_spec(q: int, ell: int, tokens: list[str]) -> GramSet:
     """Build a gram set from header tokens (see module format notes)."""
     if not tokens:
         raise ValueError("missing gram set spec")
+    if ell < 2:
+        raise ValueError("gram length must be >= 2")
     kind = tokens[0]
     if kind == "full":
         if len(tokens) != 1:

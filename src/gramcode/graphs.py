@@ -71,7 +71,9 @@ class DeBruijnGraph:
 
 
 def build_graph(s: GramSet) -> DeBruijnGraph:
-    """Construct D(S) with nodes in lexicographic order."""
+    """Construct D(S): its nodes are the (ell-1)-grams, in lexicographic order."""
+    if s.ell < 2:
+        raise ValueError("gram length must be >= 2")
     node_set = set()
     for g in s.grams:
         node_set.add(g[:-1])

@@ -278,8 +278,10 @@ def brute_force_profiles(n, s: GramSet, closed_only=False):
     by a word's first and last ell-1 symbols, each key holding the
     profiles of the words read so far with those ends.  Words with the
     same ends and profile have the same extensions, so each class is
-    kept once.  Guarded at q**n <= 10**8 words.
+    kept once.  Guarded at q**n <= 10**8 words; n < 0 is refused.
     """
+    if n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
     if s.q**n > BRUTE_FORCE_GUARD:
         raise GuardExceeded(f"{s.q}**{n} words exceed the enumeration guard")
     if n < s.ell:

@@ -71,6 +71,8 @@ def test_build_code_validation():
         build_code(5, (1, 1, 2), 2)
     with pytest.raises(ValueError):
         build_code(5, (1, 2, 3), 2, beta=(0,))
+    with pytest.raises(ValueError):
+        build_code(2, (), 1)  # no alphas
 
 
 def test_zero_vector_membership():

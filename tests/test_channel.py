@@ -14,7 +14,7 @@ from gramcode.channel import (
     trace_to_json,
     transmit,
 )
-from gramcode.grams import ChannelBudget, full_gram_set, profile, word
+from gramcode.grams import ChannelBudget, full_gram_set, parse_dna, profile, word
 from gramcode.graphs import SearchBudgetExceeded, build_graph
 from oracles import brute_force_support_count
 
@@ -58,6 +58,13 @@ def test_inject_validation():
         inject(x, 2, ChannelTrace(None, (), (9,), ()))
     with pytest.raises(ValueError):
         inject(x, 2, ChannelTrace(None, (), (), ((5, (1, 1)),)))
+    # a substituted or synthesized gram outside the cube [2]^2
+    with pytest.raises(ValueError):
+        inject(x, 2, ChannelTrace(None, (), (), ((0, (1, 1, 0)),)))  # wrong length
+    with pytest.raises(ValueError):
+        inject(x, 2, ChannelTrace(None, (), (), ((0, (1, 2)),)))  # symbol >= q
+    with pytest.raises(ValueError):
+        inject(x, 2, ChannelTrace(None, ((1, 5),), (), ()))
 
 
 def test_transmit_replay_and_determinism():
@@ -71,6 +78,30 @@ def test_transmit_replay_and_determinism():
     # general; replay identity above is the actual contract)
     _, trace3 = transmit(x, 2, budget, seed=43)
     assert trace3 != trace1
+
+
+def test_transmit_pinned_traces():
+    # pinned values: the draw order and the trace format must not change
+    observed, trace = transmit(word("01102201", 3), 2, ChannelBudget(2, 1, 2), seed=42)
+    assert trace.synthesis == ((5, 0), (6, 1))
+    assert trace.dropped == (6,)
+    assert trace.gram_subs == ((0, (2, 1)), (1, (0, 1)))
+    assert observed.counts == (0, 2, 1, 1, 0, 0, 1, 1, 0)
+
+    x = parse_dna("GATTACAGATTACA")
+    observed, trace = transmit(x, 3, ChannelBudget(2, 2, 2), seed=5, at_most=True)
+    assert trace == ChannelTrace(
+        5, ((6, 2), (9, 2)), (3,), ((4, (1, 2, 2)), (6, (1, 0, 2)))
+    )
+    expected = [0] * 64
+    for i in (5, 9, 12, 14, 18, 19, 20, 26, 33, 36, 40):
+        expected[i] = 1
+    assert observed.counts == tuple(expected)
+
+    # single-symbol grams: the observation is the symbol composition
+    observed, trace = transmit(word("0110", 2), 1, ChannelBudget(1, 1, 1), seed=1)
+    assert trace == ChannelTrace(1, ((1, 0),), (2,), ((2, (1,)),))
+    assert observed.counts == (2, 1)
 
 
 def test_transmit_budget_shapes():

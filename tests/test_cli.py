@@ -10,7 +10,7 @@ import pytest
 from gramcode import graphs
 from gramcode.cli import main
 from gramcode.codec import parse_codebook_file
-from gramcode.grams import build_weight_set, lex_index
+from gramcode.grams import build_weight_set, full_gram_set
 from oracles import verify_min_distance
 
 
@@ -157,6 +157,13 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("roundtrip", "--preset", "systematic", "--ssyn", "-1", "--seed", "5"),
         ("tables", "--id", "I", "--row", "c(2,2)", "--deep"),
         ("tables", "--id", "III", "--row", "2 3 full d=1", "--deep"),
+        ("simulate", "--word", "0110", "--q", "2", "--ell", "2", "--seed", "1",
+         "--trace", str(tmp_path)),
+        ("enumerate", "--set", "full", "2", "2", "--n", "-1", "--mode", "words"),
+        ("code-build", "--length", "0", "--d", "1"),
+        # gram length 1: no de Bruijn graph
+        ("graph-info", "--set", "full", "2", "1"),
+        ("rank-encode", "--q", "2", "--ell", "1", "--n", "6", "--perm", "0"),
     ):
         capsys.readouterr()
         status, out = run_cli(*argv)
@@ -285,7 +292,7 @@ def test_weight_set_codebook_header_and_decode(tmp_path):
 
     cube = [0] * 16
     for g, c in zip(build_weight_set(2, 4, 1, 2, 3).grams, first.split()):
-        cube[lex_index(g, 2, 4)] = int(c)
+        cube[full_gram_set(2, 4).index[g]] = int(c)
     profile_path = tmp_path / "observed.txt"
     for text, expected in (
         (f"2 4 weight 1 2 3 30\n{first}\n", 0),

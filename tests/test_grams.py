@@ -11,9 +11,7 @@ from gramcode.grams import (
     dna_string,
     explicit_gram_set,
     full_gram_set,
-    gram_at,
     gram_distance,
-    lex_index,
     parse_dna,
     profile,
     profile_lenient,
@@ -24,27 +22,38 @@ from gramcode.grams import (
 
 
 def test_lex_index_examples():
-    assert lex_index((0, 0), 2, 2) == 0
-    assert lex_index((1, 1), 2, 2) == 3
-    assert lex_index((0, 1, 0, 1), 2, 4) == 5
+    # a gram's position in the full cube is its base-q value
+    assert full_gram_set(2, 2).index[(0, 0)] == 0
+    assert full_gram_set(2, 2).index[(1, 1)] == 3
+    assert full_gram_set(2, 4).index[(0, 1, 0, 1)] == 5
+    assert full_gram_set(3, 3).index[(2, 0, 1)] == 19
+    assert full_gram_set(2, 1).index[(1,)] == 1  # the channel's cube at l = 1
 
 
 def test_lex_index_matches_sorted_order():
     s = full_gram_set(2, 4)
-    assert [lex_index(g, 2, 4) for g in s.grams] == list(range(16))
+    assert sorted(s.index, key=s.index.get) == sorted(s.index)
+    assert len(s.index) == 16
+    w = build_weight_set(2, 4, 1, 2, 3)
+    assert [w.index[g] for g in sorted(w.grams)] == list(range(len(w)))
 
 
 @pytest.mark.parametrize("q,ell", [(2, 5), (3, 4), (4, 5), (4, 3)])
 def test_gram_at_is_inverse_of_lex_index(q, ell):
+    s = full_gram_set(q, ell)
     for i in range(q**ell):
-        assert lex_index(gram_at(i, q, ell), q, ell) == i
+        assert s.index[s.grams[i]] == i
+        assert int("".join(map(str, s.grams[i])), q) == i
 
 
 def test_lex_index_rejects_bad_symbols():
-    with pytest.raises(ValueError):
-        lex_index((0, 2), 2, 2)
-    with pytest.raises(ValueError):
-        lex_index((0, 1, 0), 2, 2)
+    s = full_gram_set(2, 2)
+    assert (0, 2) not in s.index and (0, 2) not in s
+    assert (0, 1, 0) not in s.index and (0, 1, 0) not in s
+
+
+def test_full_gram_set_is_built_once():
+    assert full_gram_set(3, 2) is full_gram_set(3, 2)
 
 
 def test_q_weight():

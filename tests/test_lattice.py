@@ -109,6 +109,9 @@ def test_brute_force_long_words():
 def test_brute_force_guard():
     with pytest.raises(GuardExceeded):
         brute_force_profiles(40, S22)
+    with pytest.raises(ValueError):
+        brute_force_profiles(-1, S22)
+    assert brute_force_profiles(1, S22) == set()
 
 
 @pytest.mark.parametrize("s", [S22, S23, SW])

@@ -20,7 +20,6 @@ from gramcode.grams import (
     build_weight_set,
     explicit_gram_set,
     full_gram_set,
-    gram_at,
     profile,
 )
 from gramcode.graphs import build_graph, growth_exponent, net_outflow
@@ -58,7 +57,7 @@ def gram_sets(draw):
     """An explicit gram set of 1 to 30 grams with q <= 4 and q**ell <= 32."""
     q, ell = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
     picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=30))
-    return explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+    return explicit_gram_set(q, ell, [full_gram_set(q, ell).grams[i] for i in picks])
 
 
 @settings(PROPERTY, max_examples=300)
@@ -71,7 +70,7 @@ def gram_sets(draw):
 def test_brute_force_profiles_match_the_word_scan(size, n, closed_only, data):
     q, ell = size
     picks = data.draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=q**ell))
-    s = explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+    s = explicit_gram_set(q, ell, [full_gram_set(q, ell).grams[i] for i in picks])
     assert brute_force_profiles(n, s, closed_only) == word_profiles(n, s, closed_only)
 
 
@@ -229,7 +228,7 @@ def congruence_systems(draw):
         s = build_weight_set(q, ell, draw(st.integers(1, q - 1)), w1, draw(st.integers(w1, ell)))
     elif kind == "explicit":
         picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=q**ell))
-        s = explicit_gram_set(q, ell, [gram_at(i, q, ell) for i in picks])
+        s = explicit_gram_set(q, ell, [full_gram_set(q, ell).grams[i] for i in picks])
     else:
         # the grams of a cyclic word: every arc lies on a cycle, so mode E
         # has points, and repeated nodes often leave the graph unbalanced
