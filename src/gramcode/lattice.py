@@ -13,9 +13,13 @@ from the remaining total.  Intervals come from remaining-sum bounds,
 per-node imbalance reachability, and each endpoint's balance once its
 in- or out-arcs are exhausted.  An optional modular block (H, p, beta)
 restricts points to a congruence class, which is how code
-intersections are counted; the scan compares H u with beta once per
-point, at its last level.  Everything is exact: integers and Fractions
-only.
+intersections are counted.  The plan row-reduces H u = beta (mod p)
+onto the free decisions, so each *pivot* decision's residue follows
+from earlier decisions and its level steps by p; a row that reduces to
+0 = c with c != 0 empties the system before the scan starts.  When p
+divides the pinned level's weight the pin cannot be eliminated mod p,
+and the block only filters the points at the last level.  Everything
+is exact: integers and Fractions only.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -29,6 +33,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
+from .aecc import is_prime
 from .grams import GramSet
 from .graphs import DeBruijnGraph, build_graph, net_outflow
 
@@ -52,6 +57,8 @@ class CongruenceBlock:
             raise ValueError("congruence block needs at least one row")
         if len({len(row) for row in self.rows}) != 1:
             raise ValueError("congruence rows must have equal lengths")
+        if not is_prime(self.p):
+            raise ValueError(f"congruence modulus must be prime, got {self.p}")
         object.__setattr__(
             self, "rows", tuple(tuple(h % self.p for h in row) for row in self.rows)
         )
@@ -102,13 +109,18 @@ def _plan(system: FlowSystem):
     solved against the remaining total it fixes that last decision, the
     *pinned* level, which removes one search dimension.  No level is
     pinned when there are no decisions or the last one has zero net
-    weight.
+    weight.  A congruence block is row-reduced onto the other decisions
+    by _block_pivots, unless p divides pin_weight: then the pin has no
+    inverse mod p and the block is left to the last level's filter.
 
     Returns (levels, total, targets, pinned, pin_weight, pin_terms,
-    pin_const).  levels[i] = (a, b, a_in_done, a_out_done, b_in_done,
-    b_out_done); pinned is the pinned level, or -1.  The pinned value is
-    rem - pin_const minus w * (value of level j) for each (j, w) in
-    pin_terms, divided by pin_weight.
+    pin_const, pivots, covered).  levels[i] = (a, b, a_in_done,
+    a_out_done, b_in_done, b_out_done); pinned is the pinned level, or
+    -1.  The pinned value is rem - pin_const minus w * (value of level
+    j) for each (j, w) in pin_terms, divided by pin_weight.  pivots is
+    the result of _block_pivots, or {} when there is no block or the
+    last level filters it; covered says that the pivots enforce the
+    whole block.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -156,7 +168,66 @@ def _plan(system: FlowSystem):
     pin_weight = pin.pop(last_dec, 0)
     pin_terms = [(level, w) for level, w in pin.items() if w]
     pinned = last_dec if pin_weight else -1
-    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const
+    cong = system.congruence
+    covered = cong is not None and (pinned < 0 or pin_weight % cong.p != 0)
+    pivots = _block_pivots(system, forms, total, pinned, pin_weight) if covered else {}
+    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, covered
+
+
+def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
+    """Row-reduce the congruence block mod p onto the free decisions.
+
+    An equation here is an affine form in the decision levels, keyed as
+    in _plan, that must vanish mod p.  Through the level forms, each row
+    of H vals = beta - shift * (row sum) becomes one.  The level forms
+    also sum to the total, and the pinned decision's weight in that sum
+    is pin_weight, which p must not divide: that equation removes the
+    pinned decision from every row.  Elimination then takes pivot
+    columns from the latest decision backwards, so a pivot's equation
+    holds only its pivot and earlier decisions, and the DFS knows the
+    pivot's residue when it enters that level.
+
+    Returns {pivot level: (terms, residue)}: the pivot's value is
+    congruent to residue minus c * (value of level j) for each (j, c)
+    in terms.  Returns None when an equation reduces to 0 = c with
+    c != 0, which proves that no point satisfies the block.
+    """
+    cong = system.congruence
+    p = cong.p
+    shift = int(system.mode == "E")
+
+    def add(eq, form, f):
+        for key, c in form.items():
+            eq[key] = (eq.get(key, 0) + f * c) % p
+
+    eqs = []
+    for row, b in zip(cong.rows, cong.beta):
+        eq = {-1: (shift * sum(row) - b) % p}
+        for h, form in zip(row, forms):
+            add(eq, form, h)
+        eqs.append(eq)
+    if pinned >= 0:
+        total_eq = {-1: -total % p}
+        for form in forms:
+            add(total_eq, form, 1)
+        inv = pow(pin_weight, -1, p)
+        for eq in eqs:
+            add(eq, total_eq, -eq.get(pinned, 0) * inv)
+    pivots = {}
+    while True:
+        eqs = [eq for eq in ({k: c for k, c in eq.items() if c} for eq in eqs) if eq]
+        if not eqs:
+            return pivots
+        col = max(max(eq) for eq in eqs)
+        if col < 0:
+            return None
+        eq = next(eq for eq in eqs if col in eq)
+        eqs.remove(eq)
+        inv = pow(eq[col], -1, p)
+        for other in eqs:
+            add(other, eq, -other.get(col, 0) * inv)
+        terms = [(j, c * inv % p) for j, c in eq.items() if j != col and j >= 0]
+        pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
 
 def _scan(system: FlowSystem):
@@ -166,22 +237,31 @@ def _scan(system: FlowSystem):
     upper bound his[i], and on entry the remaining total rems[i] and the
     positive missing balance poss[i].  A value c moves c units of
     missing balance from node b to node a, so a loop leaves the balances
-    as they are.  A congruence block is checked once per point, at the
-    last level, against residues shifted by the mode-E base.  The
+    as they are.  A pivot level of a congruence block starts at the
+    first value >= lo with its residue and steps by p up to the last
+    such value <= hi; every other level steps by 1.  Every point is
+    still compared with the block at the last level, against residues
+    shifted by the mode-E base: when the pivots cover the block a
+    mismatch is a bug and raises, otherwise it drops the point.  The
     yielded list is shared and overwritten as the scan goes on.
     """
-    levels, total, miss, pinned, pin_weight, pin_terms, pin_const = _plan(system)
+    (levels, total, miss, pinned, pin_weight, pin_terms, pin_const,
+     pivots, covered) = _plan(system)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
-    if total < 0:
+    if total < 0 or pivots is None:
         return
+    solved = {pinned, *pivots}  # the levels whose range is narrowed on entry
     cong = system.congruence
     checks = ()
+    strides = [1] * n
     if cong is not None:
         # H u = H (vals + shift) = beta, so H vals = beta - shift * (row sums)
         p = cong.p
         shift = int(system.mode == "E")
         checks = [(row, (b - shift * sum(row)) % p) for row, b in zip(cong.rows, cong.beta)]
+        for level in pivots:
+            strides[level] = p
     last = n - 1
     vals = [0] * n
     his = [0] * n
@@ -189,7 +269,7 @@ def _scan(system: FlowSystem):
     poss = [0] * n
     rems[0], poss[0] = total, pos
     i = 0
-    step = None  # None: enter level i; else raise its value by step
+    step = None  # None: enter level i at lo; else step it by strides[i]
     while i >= 0:
         a, b, a_in, a_out, b_in, b_out = levels[i]
         rem = rems[i]
@@ -205,15 +285,23 @@ def _scan(system: FlowSystem):
                 hi = min(hi, miss[b])
             if i == last:
                 lo = max(lo, rem)
-            if i == pinned:
-                need = rem - pin_const
-                for level, w in pin_terms:
-                    need -= w * vals[level]
-                value, leftover = divmod(need, pin_weight)
-                if leftover:
-                    value = -1  # no integer solution: an empty range
-                lo = max(lo, value)
-                hi = min(hi, value)
+            if i in solved:
+                if i == pinned:
+                    need = rem - pin_const
+                    for level, w in pin_terms:
+                        need -= w * vals[level]
+                    value, leftover = divmod(need, pin_weight)
+                    if leftover:
+                        value = -1  # no integer solution: an empty range
+                    lo = max(lo, value)
+                    hi = min(hi, value)
+                else:
+                    terms, r = pivots[i]
+                    for level, c in terms:
+                        r -= c * vals[level]
+                    r %= p
+                    lo += (r - lo) % p
+                    hi -= (hi - r) % p
             if lo > hi:
                 i -= 1
                 step = 1
@@ -229,6 +317,7 @@ def _scan(system: FlowSystem):
             i -= 1
             continue
         else:
+            step = strides[i]
             npos = poss[i + 1]
         ma = miss[a]
         mb = miss[b]
@@ -240,7 +329,6 @@ def _scan(system: FlowSystem):
         npos += (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
         c = vals[i] + step
         vals[i] = c
-        step = 1
         if npos + c > rem:
             his[i] = c  # no larger value fits: the next pass leaves the level
         elif i == last:
@@ -248,6 +336,8 @@ def _scan(system: FlowSystem):
             # is kept unless a congruence row misses its residue
             for row, r in checks:
                 if sum(map(mul, row, vals)) % p != r:
+                    if covered:
+                        raise AssertionError("a point left the congruence class of its pivots")
                     break
             else:
                 yield vals

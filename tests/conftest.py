@@ -8,21 +8,6 @@ import pytest
 from gramcode import aecc, codec, grams, lattice
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "deep: long-running checks, enabled with GRAMCODE_DEEP=1"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("GRAMCODE_DEEP"):
-        return
-    skip = pytest.mark.skip(reason="deep checks need GRAMCODE_DEEP=1")
-    for item in items:
-        if "deep" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def headline_codebook():
     """The distance-3 mod-13 codebook among closed words of length 158.

@@ -2,15 +2,11 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.  Everything asserts exact equality; there are no
-tolerances anywhere.  The two long-running variants (the size of the
-headline codebook at the doubled length) are enabled with
-GRAMCODE_DEEP=1.
+tolerances anywhere.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
-
-import pytest
 
 from gramcode import aecc, channel, codec, grams, graphs, lattice
 from oracles import brute_force_support_count, verify_min_distance
@@ -111,14 +107,13 @@ def test_criterion_08_headline_codebook_size(headline_codebook):
           len(headline_codebook) == 11036)
 
 
-@pytest.mark.deep
 def test_criterion_08_deep_doubled_length():
     code = aecc.build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
     cong = lattice.CongruenceBlock(code.rows, code.p, code.beta)
     count = lattice.count_points(
         lattice.flow_system_for_words(graphs.build_graph(S23), 314, "E", cong)
     )
-    check(8, "deep: codebook count at n=314 equals 185197", count == 185197)
+    check(8, "codebook count at the doubled length n=314 equals 185197", count == 185197)
 
 
 def test_criterion_09_cycle_lcms():

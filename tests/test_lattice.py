@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from gramcode.lattice import (
     FitMismatch,
     FlowSystem,
     GuardExceeded,
+    _plan,
     brute_force_profiles,
     count_points,
     enumerate_points,
@@ -124,6 +126,17 @@ def test_interior_closed_feasible_sandwich(s):
         assert interior <= closed <= feasible
 
 
+def block_filtered(system):
+    """The points of system without its block that satisfy the block."""
+    block = system.congruence
+    plain = enumerate_points(FlowSystem(system.graph, system.m_total, system.mode))
+    return [
+        u for u in plain
+        if all(sum(h * c for h, c in zip(row, u)) % block.p == b
+               for row, b in zip(block.rows, block.beta))
+    ]
+
+
 @pytest.mark.parametrize("mode", ["F", "E"])
 @pytest.mark.parametrize(
     "s", [S23, S32, SW, TWO_COMPONENT_SET], ids=["S23", "S32", "SW", "TWO_COMPONENT"]
@@ -134,10 +147,10 @@ def test_congruence_count_matches_filtering(s, mode):
     block = CongruenceBlock(rows, 5, (2,))
     shift = g.n_arcs if mode == "E" else 0
     for m in (6 + shift, 9 + shift, 12 + shift):
-        plain = enumerate_points(FlowSystem(g, m, mode))
-        filtered = [u for u in plain if sum(h * c for h, c in zip(rows[0], u)) % 5 == 2]
-        assert count_points(FlowSystem(g, m, mode, block)) == len(filtered)
-        assert enumerate_points(FlowSystem(g, m, mode, block)) == filtered
+        system = FlowSystem(g, m, mode, block)
+        filtered = block_filtered(system)
+        assert count_points(system) == len(filtered)
+        assert enumerate_points(system) == filtered
 
 
 def test_congruence_count_interior_mode():
@@ -145,14 +158,62 @@ def test_congruence_count_interior_mode():
     rows = ((1, 2, 3, 5, 8, 10, 11, 12), (1, 4, 9, 12, 12, 9, 4, 1))
     block = CongruenceBlock(rows, 13, (0, 0))
     for m in (12, 24):
-        plain = enumerate_points(FlowSystem(g, m, "E"))
-        kept = [
-            u for u in plain
-            if all(sum(h * c for h, c in zip(row, u)) % 13 == 0 for row in rows)
-        ]
-        assert enumerate_points(FlowSystem(g, m, "E", block)) == kept
+        system = FlowSystem(g, m, "E", block)
+        assert enumerate_points(system) == block_filtered(system)
     with pytest.raises(ValueError):
         CongruenceBlock((rows[0], rows[1][:-1]), 13, (0, 0))  # ragged rows
+    for p in (0, 4):  # the elimination needs inverses mod p
+        with pytest.raises(ValueError):
+            CongruenceBlock(rows, p, (0, 0))
+
+
+def test_congruence_pin_is_solved_from_every_level():
+    # Solving the pinned decision from the global total instead of the
+    # sum of all level forms finds no point here.
+    system = FlowSystem(build_graph(S22), 1, "F", CongruenceBlock(((2, 10, 10, 5),), 11, (2,)))
+    assert enumerate_points(system) == block_filtered(system) == [(1, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("mode", ["F", "E"])
+def test_congruence_every_residue_class(mode):
+    # Over all 25 classes the pivot levels' first and last admissible
+    # values sit at every offset from their bounds, so a residue start or
+    # end that is off by one loses or adds points.
+    g = build_graph(S23)
+    rows = ((1, 2, 3, 4, 0, 1, 2, 3), (0, 1, 1, 2, 3, 0, 3, 1))
+    m = 10 + (g.n_arcs if mode == "E" else 0)
+    sizes = []
+    for beta in product(range(5), repeat=2):
+        system = FlowSystem(g, m, mode, CongruenceBlock(rows, 5, beta))
+        assert enumerate_points(system) == block_filtered(system)
+        sizes.append(count_points(system))
+    assert min(sizes) > 0
+    assert sum(sizes) == count_points(FlowSystem(g, m, mode))
+
+
+def test_congruence_pin_weight_divisible_by_p():
+    # The arcs 01 and 10 form a 2-cycle, so the pinned level has weight 2,
+    # which has no inverse mod 2: the block only filters the last level.
+    g = build_graph(explicit_gram_set(3, 2, [(0, 0), (0, 1), (1, 0)]))
+    for mode, m in (("F", 6), ("E", 9)):
+        for beta in (0, 1):
+            system = FlowSystem(g, m, mode, CongruenceBlock(((1, 1, 0),), 2, (beta,)))
+            assert _plan(system)[4] == 2
+            points = enumerate_points(system)
+            assert len(points) == 2 and points == block_filtered(system)
+
+
+def test_congruence_infeasible_beta_is_empty():
+    # The second row is twice the first but its residue is not, so the
+    # elimination ends in 0 = c with c != 0.
+    g = build_graph(S23)
+    row = (1, 2, 3, 5, 8, 10, 11, 12)
+    block = CongruenceBlock((row, tuple(2 * h for h in row)), 13, (1, 3))
+    for mode, m in (("F", 12), ("E", 20)):
+        system = FlowSystem(g, m, mode, block)
+        assert count_points(FlowSystem(g, m, mode)) > 0
+        assert enumerate_points(system) == block_filtered(system) == []
+        assert count_points(system) == 0
 
 
 def test_fit_known_leading_coefficients(table_fits):

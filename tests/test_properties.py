@@ -26,6 +26,7 @@ from gramcode.graphs import build_graph, growth_exponent, net_outflow
 from gramcode.lattice import (
     CongruenceBlock,
     FlowSystem,
+    _plan,
     brute_force_profiles,
     count_points,
     enumerate_points,
@@ -217,7 +218,10 @@ def congruence_systems(draw):
     often nonzero mod p and mode E's shift of beta matters; a random
     beta; modes F and E; and a total small enough for the composition
     oracle.  Unbalanced graphs in mode E give the pinned level a nonzero
-    constant.
+    constant.  Two shapes are drawn on purpose: p dividing the pinned
+    level's weight, where the block can only filter the last level, and
+    an extra row whose residue contradicts the first row's, which makes
+    the block infeasible.
     """
     q, ell = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
     kind = draw(st.sampled_from(["full", "weight", "explicit", "cyclic"]))
@@ -237,14 +241,25 @@ def congruence_systems(draw):
         s = explicit_gram_set(q, ell, {tuple(wrapped[i : i + ell]) for i in range(len(word))})
     graph = build_graph(s)
     n = graph.n_arcs
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))
+    mode = draw(st.sampled_from("FE"))
+    extra_max = max(e for e in range(13) if comb(e + n - 1, n - 1) <= 20000)
+    m = draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
+    shape = draw(st.sampled_from(["random", "pin weight", "infeasible"]))
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    if shape == "pin weight":
+        # full and weight sets have pin weight 1; explicit and cyclic sets
+        # often have 2 to 4
+        weight = _plan(FlowSystem(graph, m, mode))[4]
+        primes = [p for p in primes if weight and weight % p == 0] or primes
+    p = draw(st.sampled_from(primes))
     d = draw(st.integers(1, 3))
     residues = st.integers(0, p - 1)
     rows = draw(st.lists(st.lists(residues, min_size=n, max_size=n), min_size=d, max_size=d))
     beta = draw(st.lists(residues, min_size=d, max_size=d))
-    mode = draw(st.sampled_from("FE"))
-    extra_max = max(e for e in range(13) if comb(e + n - 1, n - 1) <= 20000)
-    m = draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
+    if shape == "infeasible":
+        c = draw(residues)
+        rows.append([c * h for h in rows[0]])
+        beta.append(c * beta[0] + draw(st.integers(1, p - 1)))
     block = CongruenceBlock(tuple(map(tuple, rows)), p, tuple(beta))
     return FlowSystem(graph, m, mode, block)
 
