@@ -209,7 +209,7 @@ def support_readout(counts, s: GramSet):
     return tuple(g for g, c in zip(s.grams, counts) if c > 0)
 
 
-def star_distance(x: Word, y: Word, q: int, ell: int) -> int:
+def star_distance(x: Word, y: Word, ell: int) -> int:
     """Size of the symmetric difference of the words' gram supports."""
     sx = {tuple(g) for g in x.grams(ell)}
     sy = {tuple(g) for g in y.grams(ell)}

@@ -337,7 +337,7 @@ def parse_codebook_file(text: str) -> GrcCodebook:
     s = parse_gram_set_spec(q, ell, head[3:-2])
     words = []
     for ln in lines[1:]:
-        u = tuple(int(t) for t in ln.split())
+        u = ProfileVector(int(t) for t in ln.split()).counts
         if len(u) != len(s):
             raise ValueError(f"profile has {len(u)} counts, expected {len(s)}")
         words.append(u)

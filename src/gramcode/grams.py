@@ -329,7 +329,7 @@ def parse_profile_file(text: str):
     q, ell = int(head[0]), int(head[1])
     n = int(head[-1])
     s = parse_gram_set_spec(q, ell, head[2:-1])
-    counts = tuple(int(t) for t in lines[1].split())
+    counts = ProfileVector(int(t) for t in lines[1].split()).counts
     if len(counts) != len(s):
         raise ValueError(f"expected {len(s)} counts, got {len(counts)}")
     return s, n, counts

@@ -36,7 +36,7 @@ class DeBruijnGraph:
     arc_init: tuple[int, ...]
     arc_term: tuple[int, ...]
     # Adjacency built once by build_graph: the arcs leaving each node, in
-    # gram order, and the arc joining each node pair.
+    # gram order (ascending terminal node), and the arc joining each node pair.
     out_adj: tuple = field(repr=False, compare=False, hash=False, default=None)
     arc_of: dict = field(repr=False, compare=False, hash=False, default=None)
 
@@ -56,10 +56,6 @@ class DeBruijnGraph:
 
     def loops(self) -> list[int]:
         return [self.arc_of[v, v] for v in range(self.n_nodes) if (v, v) in self.arc_of]
-
-    def out_arcs(self, v: int) -> tuple[int, ...]:
-        """Arcs leaving v in gram order, which is ascending terminal node."""
-        return self.out_adj[v]
 
     def arc_between(self, u: int, v: int) -> int | None:
         """Arc index from node u to node v, or None.  Arcs are simple in D(S)."""

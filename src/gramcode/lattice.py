@@ -14,12 +14,10 @@ per-node imbalance reachability, and each endpoint's balance once its
 in- or out-arcs are exhausted.  An optional modular block (H, p, beta)
 restricts points to a congruence class, which is how code
 intersections are counted.  The plan row-reduces H u = beta (mod p)
-onto the free decisions, so each *pivot* decision's residue follows
-from earlier decisions and its level steps by p; a row that reduces to
-0 = c with c != 0 empties the system before the scan starts.  When p
-divides the pinned level's weight the pin cannot be eliminated mod p,
-and the block only filters the points at the last level.  Everything
-is exact: integers and Fractions only.
+onto the decisions, so each *pivot* decision's residue follows from
+earlier decisions; a row that reduces to 0 = c with c != 0 empties the
+system before the scan starts.  Everything is exact: integers and
+Fractions only.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -109,18 +107,14 @@ def _plan(system: FlowSystem):
     solved against the remaining total it fixes that last decision, the
     *pinned* level, which removes one search dimension.  No level is
     pinned when there are no decisions or the last one has zero net
-    weight.  A congruence block is row-reduced onto the other decisions
-    by _block_pivots, unless p divides pin_weight: then the pin has no
-    inverse mod p and the block is left to the last level's filter.
+    weight.  A congruence block is row-reduced by _block_pivots.
 
     Returns (levels, total, targets, pinned, pin_weight, pin_terms,
-    pin_const, pivots, covered).  levels[i] = (a, b, a_in_done,
-    a_out_done, b_in_done, b_out_done); pinned is the pinned level, or
-    -1.  The pinned value is rem - pin_const minus w * (value of level
-    j) for each (j, w) in pin_terms, divided by pin_weight.  pivots is
-    the result of _block_pivots, or {} when there is no block or the
-    last level filters it; covered says that the pivots enforce the
-    whole block.
+    pin_const, pivots).  levels[i] = (a, b, a_in_done, a_out_done,
+    b_in_done, b_out_done); pinned is the pinned level, or -1.  The
+    pinned value is rem - pin_const minus w * (value of level j) for
+    each (j, w) in pin_terms, divided by pin_weight.  pivots is the
+    result of _block_pivots, or {} when there is no block.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -168,24 +162,21 @@ def _plan(system: FlowSystem):
     pin_weight = pin.pop(last_dec, 0)
     pin_terms = [(level, w) for level, w in pin.items() if w]
     pinned = last_dec if pin_weight else -1
-    cong = system.congruence
-    covered = cong is not None and (pinned < 0 or pin_weight % cong.p != 0)
-    pivots = _block_pivots(system, forms, total, pinned, pin_weight) if covered else {}
-    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, covered
+    pivots = _block_pivots(system, forms, total, pinned, pin_weight) if system.congruence else {}
+    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots
 
 
 def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
-    """Row-reduce the congruence block mod p onto the free decisions.
+    """Row-reduce the congruence block mod p onto the decisions.
 
     An equation here is an affine form in the decision levels, keyed as
     in _plan, that must vanish mod p.  Through the level forms, each row
-    of H vals = beta - shift * (row sum) becomes one.  The level forms
-    also sum to the total, and the pinned decision's weight in that sum
-    is pin_weight, which p must not divide: that equation removes the
-    pinned decision from every row.  Elimination then takes pivot
-    columns from the latest decision backwards, so a pivot's equation
-    holds only its pivot and earlier decisions, and the DFS knows the
-    pivot's residue when it enters that level.
+    of H vals = beta - shift * (row sum) becomes one.  When p does not
+    divide pin_weight, the total (the sum of the level forms) removes
+    the pinned decision from every row; otherwise it stays a column.
+    Elimination takes pivot columns from the latest decision backwards,
+    so a pivot's equation holds only its pivot and earlier decisions,
+    and the DFS knows the pivot's residue when it enters that level.
 
     Returns {pivot level: (terms, residue)}: the pivot's value is
     congruent to residue minus c * (value of level j) for each (j, c)
@@ -206,7 +197,7 @@ def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
         for h, form in zip(row, forms):
             add(eq, form, h)
         eqs.append(eq)
-    if pinned >= 0:
+    if pinned >= 0 and pin_weight % p:
         total_eq = {-1: -total % p}
         for form in forms:
             add(total_eq, form, 1)
@@ -237,16 +228,13 @@ def _scan(system: FlowSystem):
     upper bound his[i], and on entry the remaining total rems[i] and the
     positive missing balance poss[i].  A value c moves c units of
     missing balance from node b to node a, so a loop leaves the balances
-    as they are.  A pivot level of a congruence block starts at the
-    first value >= lo with its residue and steps by p up to the last
-    such value <= hi; every other level steps by 1.  Every point is
-    still compared with the block at the last level, against residues
-    shifted by the mode-E base: when the pivots cover the block a
-    mismatch is a bug and raises, otherwise it drops the point.  The
-    yielded list is shared and overwritten as the scan goes on.
+    as they are.  A pivot level of a congruence block is narrowed to
+    the values in [lo, hi] with its residue and steps by p; every other
+    level steps by 1.  Each point is checked against the block at the
+    last level, and a mismatch raises.  The yielded list is shared and
+    overwritten as the scan goes on.
     """
-    (levels, total, miss, pinned, pin_weight, pin_terms, pin_const,
-     pivots, covered) = _plan(system)
+    levels, total, miss, pinned, pin_weight, pin_terms, pin_const, pivots = _plan(system)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
     if total < 0 or pivots is None:
@@ -295,7 +283,7 @@ def _scan(system: FlowSystem):
                         value = -1  # no integer solution: an empty range
                     lo = max(lo, value)
                     hi = min(hi, value)
-                else:
+                if i in pivots:
                     terms, r = pivots[i]
                     for level, c in terms:
                         r -= c * vals[level]
@@ -332,15 +320,11 @@ def _scan(system: FlowSystem):
         if npos + c > rem:
             his[i] = c  # no larger value fits: the next pass leaves the level
         elif i == last:
-            # c == rem here, and npos + c <= rem left npos == 0; the point
-            # is kept unless a congruence row misses its residue
+            # c == rem here, and npos + c <= rem left npos == 0
             for row, r in checks:
                 if sum(map(mul, row, vals)) % p != r:
-                    if covered:
-                        raise AssertionError("a point left the congruence class of its pivots")
-                    break
-            else:
-                yield vals
+                    raise AssertionError("a point left the congruence class of its pivots")
+            yield vals
         else:
             rems[i + 1] = rem - c
             poss[i + 1] = npos

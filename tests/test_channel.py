@@ -168,9 +168,9 @@ def test_support_readout():
 
 def test_star_distance():
     x = word("0101", 2)
-    assert star_distance(x, x, 2, 2) == 0
-    assert star_distance(word("0101", 2), word("1010", 2), 2, 2) == 0
-    assert star_distance(word("0000", 2), word("1111", 2), 2, 2) == 2
+    assert star_distance(x, x, 2) == 0
+    assert star_distance(word("0101", 2), word("1010", 2), 2) == 0
+    assert star_distance(word("0000", 2), word("1111", 2), 2) == 2
 
 
 def test_star_identification_bound_formula():

@@ -122,6 +122,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     three_counts.write_text("2 2 weight 1 1 2 5\n0 0 1\n")
     code = tmp_path / "code.txt"
     run_cli("code-build", "--length", "3", "--d", "1", "--p", "5", "--out", str(code))
+    negative3 = tmp_path / "negative3.txt"
+    negative3.write_text("2 2 weight 1 1 2 5\n3 -1 3\n")
+    negative8 = tmp_path / "negative8.txt"
+    negative8.write_text("2 3 full 20\n12 1 0 2 1 1 2 -1\n")
+    negative_rank = tmp_path / "negative_rank.txt"
+    negative_rank.write_text("2 3 full 14\n7 1 1 2 1 1 3 -2\n")
+    observed = tmp_path / "observed.txt"
+    observed.write_text("2 3 full 20\n11 1 0 2 1 1 2 0\n")
+    book = tmp_path / "book.txt"
+    run_cli("grc-build", "--method", "systematic", "--set", "full", "2", "3",
+            "--n", "20", "--m", "2", "--out", str(book))
+    head, *rows = book.read_text().splitlines()
+    negative_book = tmp_path / "negative_book.txt"
+    negative_book.write_text("\n".join([head, "15 -1 0 2 1 1 2 0", *rows]) + "\n")
     for argv in (
         ("graph-info", "--set", "weight", "2", "4", "9", "2", "3"),
         ("graph-info", "--set", "full", "2"),
@@ -164,6 +178,12 @@ def test_validation_error_exit_code(tmp_path, capsys):
         # gram length 1: no de Bruijn graph
         ("graph-info", "--set", "full", "2", "1"),
         ("rank-encode", "--q", "2", "--ell", "1", "--n", "6", "--perm", "0"),
+        # negative counts in a profile or codebook file
+        ("code-check", "--code", str(code), "--profile", str(negative3)),
+        ("code-decode", "--code", str(code), "--profile", str(negative3), "--max-weight", "2"),
+        ("decode", "--codebook", str(book), "--profile", str(negative8)),
+        ("rank-decode", "--q", "2", "--ell", "3", "--profile", str(negative_rank)),
+        ("decode", "--codebook", str(negative_book), "--profile", str(observed)),
     ):
         capsys.readouterr()
         status, out = run_cli(*argv)

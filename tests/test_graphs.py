@@ -53,7 +53,7 @@ def test_adjacency_matches_arc_scan(s):
     g = build_graph(s)
     ends = list(zip(g.arc_init, g.arc_term))
     for u in range(g.n_nodes):
-        assert list(g.out_arcs(u)) == [a for a, (i, _t) in enumerate(ends) if i == u]
+        assert list(g.out_adj[u]) == [a for a, (i, _t) in enumerate(ends) if i == u]
         assert g.successors(u) == sorted({t for i, t in ends if i == u})
         for v in range(g.n_nodes):
             scan = [a for a, pair in enumerate(ends) if pair == (u, v)]

@@ -193,12 +193,15 @@ def test_congruence_every_residue_class(mode):
 
 def test_congruence_pin_weight_divisible_by_p():
     # The arcs 01 and 10 form a 2-cycle, so the pinned level has weight 2,
-    # which has no inverse mod 2: the block only filters the last level.
+    # which has no inverse mod 2: the total cannot remove the pinned
+    # decision, which stays a column of the elimination and becomes a pivot.
     g = build_graph(explicit_gram_set(3, 2, [(0, 0), (0, 1), (1, 0)]))
     for mode, m in (("F", 6), ("E", 9)):
         for beta in (0, 1):
             system = FlowSystem(g, m, mode, CongruenceBlock(((1, 1, 0),), 2, (beta,)))
-            assert _plan(system)[4] == 2
+            plan = _plan(system)
+            pinned, pin_weight, pivots = plan[3], plan[4], plan[7]
+            assert pin_weight == 2 and pinned in pivots
             points = enumerate_points(system)
             assert len(points) == 2 and points == block_filtered(system)
 

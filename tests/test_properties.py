@@ -219,9 +219,9 @@ def congruence_systems(draw):
     beta; modes F and E; and a total small enough for the composition
     oracle.  Unbalanced graphs in mode E give the pinned level a nonzero
     constant.  Two shapes are drawn on purpose: p dividing the pinned
-    level's weight, where the block can only filter the last level, and
-    an extra row whose residue contradicts the first row's, which makes
-    the block infeasible.
+    level's weight, where the total cannot remove the pinned decision
+    from the rows, and an extra row whose residue contradicts the first
+    row's, which makes the block infeasible.
     """
     q, ell = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
     kind = draw(st.sampled_from(["full", "weight", "explicit", "cyclic"]))

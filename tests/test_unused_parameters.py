@@ -1,0 +1,62 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_parameters(tree):
+    """Qualified `function: parameter` pairs whose body never reads the parameter.
+
+    A read anywhere in the body counts, nested functions included; the
+    parameter's own default and annotation do not.  `self` and `cls` are
+    exempt.
+    """
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [
+                    arg.arg
+                    for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    if arg is not None and arg.arg not in ("self", "cls")
+                ]
+                read = {
+                    sub.id
+                    for stmt in child.body
+                    for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                }
+                found.extend(f"{name}: {param}" for param in params if param not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_unused_parameters():
+    unused = {
+        f"{path.name}::{entry}"
+        for path in sorted((ROOT / "src" / "gramcode").glob("*.py"))
+        for entry in _unused_parameters(ast.parse(path.read_text()))
+    }
+    assert not unused, sorted(unused)
+
+
+def test_unused_parameter_detector():
+    tree = ast.parse(
+        "def f(a, b: int = 0, *rest, c, **extra):\n    return a + len(rest) + c\n"
+        "class K:\n    def m(self, x, y=None):\n        def inner():\n            return x\n"
+        "        return inner\n"
+        "    @classmethod\n    def n(cls, z):\n        z = 1\n"
+        "def g(w=lambda w: w):\n    pass\n"
+    )
+    assert _unused_parameters(tree) == [
+        "f: b", "f: extra", "K.m: y", "K.n: z", "g: w",
+    ]
