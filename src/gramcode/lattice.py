@@ -19,6 +19,17 @@ earlier decisions; a row that reduces to 0 = c with c != 0 empties the
 system before the scan starts.  Everything is exact: integers and
 Fractions only.
 
+Counting has a second engine beside the DFS.  It walks the same plan
+level by level and merges partial flows whose states agree: the
+remaining total, the missing balances of the nodes still open and,
+until the pinned level, what the pin has accumulated.  Its work grows
+with the number of distinct states, the DFS's with the number of
+points, so count_points takes it for a system without a congruence
+block whose widest frontier is narrower than the DFS's search
+dimension (full 3 2: 3 against 6), and the DFS for every other system
+(full 2 3: 4 against 4; weight 2 4 1 2 3: 6 against 3) and for every
+enumeration.
+
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
 quasipolynomials, with a held-out sample verifying every fit.
@@ -332,8 +343,145 @@ def _scan(system: FlowSystem):
             step = None
 
 
+def _open_nodes(levels):
+    """For each level, the nodes open after it, in ascending order.
+
+    A node is open once a non-loop arc has touched it and until it is
+    closed (done on both sides).  Its missing balance is then the only
+    balance a scan state can vary: an untouched node still misses its
+    target, and a closed one misses 0.
+    """
+    now = set()
+    out = []
+    for a, b, a_in, a_out, b_in, b_out in levels:
+        if a != b:
+            now.update((a, b))
+            if a_in and a_out:
+                now.discard(a)
+            if b_in and b_out:
+                now.discard(b)
+        out.append(sorted(now))
+    return out
+
+
+def _uses_frontier(system: FlowSystem) -> bool:
+    """Whether count_points counts the system by merged frontier states.
+
+    Only without a congruence block, and only when the frontier has
+    fewer free coordinates than the DFS.  The DFS searches one dimension
+    per decision level, less the pinned one.  A frontier state after a
+    level holds rem, the open nodes' missing balances (their sum is
+    fixed, so one fewer) and, from the first level the pin depends on
+    until the pin is placed, its accumulator; the widest level boundary
+    bounds the frontier.
+    """
+    if system.congruence is not None:
+        return False
+    levels, _, _, pinned, _, pin_terms, _, _ = _plan(system)
+    decisions = sum(
+        1 for a, b, a_in, a_out, b_in, b_out in levels
+        if a == b or not (a_in and a_out or b_in and b_out)
+    )
+    dimension = decisions - (pinned >= 0)
+    pending_from = min((j for j, _ in pin_terms), default=pinned)
+    width = max(
+        max(len(nodes) - 1, 0) + 1 + (pending_from <= i < pinned)
+        for i, nodes in enumerate(_open_nodes(levels))
+    )
+    return width < dimension
+
+
+def _count_frontier(system: FlowSystem) -> int:
+    """Count the points level by level, merging equal partial flows.
+
+    Walks _plan's levels in order and applies _scan's rules to every
+    state at once: the done-side bounds, lo = rem at the last level,
+    the npos + c > rem cut and the pinned value.  A state is (rem, the
+    pin accumulator, the open nodes' missing balances): the rules at
+    every later level read nothing else, so prefixes with equal states
+    have equally many completions and are kept once, with their
+    multiplicity.  The accumulator is the sum of w * value over the
+    pin_terms seen so far, reset to 0 once the pin is placed.  No
+    congruence block: the DFS serves those.
+    """
+    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, _ = _plan(system)
+    if total < 0:
+        return 0
+    weights = dict(pin_terms) if pinned >= 0 else {}
+    last = len(levels) - 1
+    idle = sum(t for t in targets if t > 0)  # untouched nodes' positive balance
+    before = []
+    states = {(total, 0): 1}
+    for i, (level, after) in enumerate(zip(levels, _open_nodes(levels))):
+        a, b, a_in, a_out, b_in, b_out = level
+        # slots: the open nodes before this level, then the nodes this arc
+        # touches first; miss adds a spare 0, where a loop's +c and -c cancel
+        slots = before + [v for v in (a, b) if a != b and v not in before]
+        fresh = [targets[v] for v in slots[len(before):]]
+        idle -= sum(t for t in fresh if t > 0)
+        pa, pb = (slots.index(a), slots.index(b)) if a != b else (len(slots), len(slots))
+        pick = [slots.index(v) for v in after]
+        w = weights.get(i, 0)
+        nxt = {}
+        for key, mult in states.items():
+            rem, acc = key[0], key[1]
+            miss = [*key[2:], *fresh, 0]
+            lo, hi = 0, rem
+            if a_in:
+                hi = min(hi, -miss[pa])
+            if a_out:
+                lo = max(lo, -miss[pa])
+            if b_in:
+                lo = max(lo, miss[pb])
+            if b_out:
+                hi = min(hi, miss[pb])
+            if i == last:
+                lo = max(lo, rem)
+            if i == pinned:
+                value, leftover = divmod(rem - pin_const - acc, pin_weight)
+                if leftover:
+                    continue
+                lo = max(lo, value)
+                hi = min(hi, value)
+                acc = 0
+            if lo > hi:
+                continue
+            ma, mb = miss[pa], miss[pb]
+            rest = idle + sum(m for m in miss if m > 0)
+            rest -= (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
+            miss[pa] += lo
+            miss[pb] -= lo
+            for c in range(lo, hi + 1):
+                ma, mb = miss[pa], miss[pb]
+                if rest + (ma if ma > 0 else 0) + (mb if mb > 0 else 0) + c > rem:
+                    break
+                state = (rem - c, acc + w * c, *[miss[j] for j in pick])
+                nxt[state] = nxt.get(state, 0) + mult
+                miss[pa] += 1
+                miss[pb] -= 1
+        states = nxt
+        before = after
+    # every point has used the total, placed the pin and closed its nodes
+    count = states.pop((0, 0), 0)
+    if states:
+        raise AssertionError("a flow ended with total, pin or balance left over")
+    return count
+
+
 def count_points(system: FlowSystem) -> int:
-    """Number of integer points of the system, exactly."""
+    """Number of integer points of the system, exactly.
+
+    Without a congruence block, and when the plan's widest frontier is
+    narrower than the DFS's search dimension, the points are counted by
+    merged frontier states (_count_frontier), whose work grows with the
+    number of distinct partial flows rather than with the number of
+    points.  Every other system, and every system with a block, is
+    counted by the DFS (_scan).  The frontier at a level holds at most
+    as many states as the DFS has prefixes there, so a system whose
+    frontier outgrows memory is one the DFS could not finish either.
+    """
+    if _uses_frontier(system):
+        return _count_frontier(system)
     return sum(1 for _ in _scan(system))
 
 
@@ -446,11 +594,13 @@ def fit_quasipolynomial(
     Counts the points at M = lam*t + residue for t = 1..degree+1, runs
     exact Lagrange interpolation, then recounts at t = degree+2 and
     compares; a mismatch means the assumed degree or period is wrong
-    and raises FitMismatch.  The degree must be nonnegative and lam
-    positive.
+    and raises FitMismatch.  The degree must be nonnegative, lam
+    positive and the residue in [0, lam).
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
+    if not 0 <= residue < lam:
+        raise ValueError(f"need 0 <= residue < lambda, got residue {residue} and lambda {lam}")
     graph = build_graph(s)
     xs = list(range(1, degree + 2))
     ys = [count_points(FlowSystem(graph, lam * t + residue, mode)) for t in xs]

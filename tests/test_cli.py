@@ -149,6 +149,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("code-check", "--code", str(bare_p), "--profile", str(short_header)),
         ("fit", "--set", "full", "2", "2", "--degree", "1", "--lambda", "0"),
         ("fit", "--set", "full", "2", "2", "--degree", "-1", "--lambda", "2"),
+        ("fit", "--set", "full", "2", "2", "--degree", "2", "--lambda", "2", "--residue", "5"),
+        ("fit", "--set", "full", "2", "2", "--degree", "2", "--lambda", "2", "--residue", "-3"),
+        ("fit", "--set", "full", "2", "2", "--degree", "2", "--lambda", "2", "--residue", "2"),
         ("simulate", "--word", "0110", "--q", "2", "--ell", "-1", "--seed", "1"),
         ("simulate", "--word", "0110", "--q", "2", "--ell", "0", "--seed", "1"),
         ("code-decode", "--code", str(code), "--profile", str(three_counts),

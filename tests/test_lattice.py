@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from gramcode.lattice import (
     FlowSystem,
     GuardExceeded,
     _plan,
+    _uses_frontier,
     brute_force_profiles,
     count_points,
     enumerate_points,
@@ -72,6 +74,27 @@ def test_wide_full_cube_counts_binary_words():
     for m in (1, 2, 3):
         assert count_points(FlowSystem(g, m)) == 2**m
         assert len(enumerate_points(FlowSystem(g, m))) == 2**m
+
+
+@pytest.mark.parametrize("mode", ["F", "E"])
+def test_count_engine_follows_the_plan(mode):
+    # widest frontier against the DFS's search dimension: 3 vs 6 on
+    # full 3 2, 4 vs 4 on full 2 3, 6 vs 3 on weight 2 4 1 2 3
+    for s in (S32, full_gram_set(4, 2)):
+        assert _uses_frontier(FlowSystem(build_graph(s), 12, mode))
+    for s in (S23, SW):
+        assert not _uses_frontier(FlowSystem(build_graph(s), 12, mode))
+    # a congruence block always keeps the DFS
+    g = build_graph(S32)
+    block = CongruenceBlock((tuple(range(1, g.n_arcs + 1)),), 5, (2,))
+    assert not _uses_frontier(FlowSystem(g, 12, mode, block))
+
+
+def test_wide_system_is_counted_without_visiting_its_points():
+    # the DFS walks all 785,715 points of this system
+    start = time.process_time()
+    assert count_points(FlowSystem(build_graph(S32), 48, "E")) == 785715
+    assert time.process_time() - start < 1.0
 
 
 def test_infeasible_systems_are_empty():

@@ -26,6 +26,7 @@ from gramcode.graphs import build_graph, growth_exponent, net_outflow
 from gramcode.lattice import (
     CongruenceBlock,
     FlowSystem,
+    _count_frontier,
     _plan,
     brute_force_profiles,
     count_points,
@@ -277,3 +278,16 @@ def test_congruence_scan_filters_the_plain_scan(system):
     ]
     assert enumerate_points(system) == kept
     assert count_points(system) == len(kept)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(gram_sets(), st.sampled_from("FE"), st.data())
+def test_frontier_count_matches_the_scan(s, mode, data):
+    # the total left after mode E's one unit per arc is at most 14, and
+    # small enough that the arcs' compositions of it stay few
+    graph = build_graph(s)
+    n = graph.n_arcs
+    extra_max = max(e for e in range(15) if comb(e + n - 1, n - 1) <= 10**5)
+    m = data.draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
+    system = FlowSystem(graph, m, mode)
+    assert _count_frontier(system) == len(enumerate_points(system))
