@@ -17,10 +17,8 @@ from .grams import (
     dna_string,
     explicit_gram_set,
     full_gram_set,
-    gram_distance,
     parse_dna,
     profile,
-    profile_lenient,
     q_weight,
     word,
     word_text,
@@ -33,7 +31,6 @@ from .graphs import (
     eulerian_walk,
     growth_exponent,
     hamiltonian_cycle,
-    incidence,
     is_eulerian,
     strongly_connected_components,
 )
@@ -55,7 +52,6 @@ from .aecc import (
     choose_prime,
     code_size_ambient,
     decode_bounded,
-    default_code,
 )
 from .codec import (
     GrcCodebook,

@@ -113,12 +113,6 @@ def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
     return VarshamovCode(p, alphas, d, beta, rows)
 
 
-def default_code(n_symbols: int, d: int, beta=None) -> VarshamovCode:
-    """Code with the canonical choices: p just above max(N, d), alphas 1..N."""
-    p = choose_prime(n_symbols, d)
-    return build_code(p, tuple(range(1, n_symbols + 1)), d, beta)
-
-
 def code_size_ambient(code: VarshamovCode, m: int) -> int:
     """Number of members of [m]^N, via dynamic programming over syndromes."""
     if m < 0:

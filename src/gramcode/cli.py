@@ -304,7 +304,7 @@ def cmd_rank_encode(args):
     layout = codec.rank_modulation_layout(args.q, args.ell)
     perm = tuple(int(t) for t in args.perm.split(","))
     u = codec.rank_encode(layout, perm, args.n)
-    emit("info-grams", ["".join(map(str, g)) for g in layout.info_grams()])
+    emit("info-grams", [layout.gram_set.label(a) for a in layout.info_positions])
     emit("profile", u.counts)
     emit("word", grams.word_text(codec.euler_word(u.counts, layout.gram_set)))
     return 0
@@ -327,9 +327,7 @@ def _report(label, computed, reference):
 
 
 def cmd_tables(args):
-    echo_config(args, ["id", "row", "deep"])
-    if args.deep and (args.id != "III" or args.row is not None):
-        raise ValueError("--deep applies only to --id III without --row")
+    echo_config(args, ["id", "row"])
     ok = True
     wanted = args.row
     matched = []
@@ -373,9 +371,8 @@ def cmd_tables(args):
             ok &= _report(f"{label} lambda-grc", lcm(computed_lam, p), lam_grc)
             emit(f"{label} c(H,S)", "SKIPPED (long-running)")
         if wanted is None:
-            ok &= _example_headline(t=1)
-            if args.deep:
-                ok &= _example_headline(t=2)
+            for t in (1, 2):
+                ok &= _example_headline(t)
     if not matched:
         raise ValueError(f"--row {wanted!r} matches no row of table {args.id}")
     emit("tables-ok", ok)
@@ -543,7 +540,6 @@ def build_parser():
     p = sub.add_parser("tables", help="recompute the reference constants")
     p.add_argument("--id", choices=("I", "II", "III"), required=True)
     p.add_argument("--row", help="only rows whose label contains this text")
-    p.add_argument("--deep", action="store_true", help="include long runs")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("roundtrip", help="message -> word -> channel -> message")

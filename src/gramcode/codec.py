@@ -94,9 +94,6 @@ class SystematicLayout:
     def gram_set(self) -> GramSet:
         return self.graph.gram_set
 
-    def info_grams(self):
-        return [self.gram_set.grams[a] for a in self.info_positions]
-
 
 def message_bound(graph: DeBruijnGraph, n: int) -> int:
     """Largest safe message alphabet for words of length n on this graph."""

@@ -215,19 +215,6 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
     return ProfileVector(tuple(counts))
 
 
-def profile_lenient(x: Word, s: GramSet):
-    """Profile counting only in-set grams; returns (profile, foreign_count)."""
-    counts = [0] * len(s)
-    foreign = 0
-    for g in x.grams(s.ell):
-        idx = s.index.get(g)
-        if idx is None:
-            foreign += 1
-        else:
-            counts[idx] += 1
-    return ProfileVector(tuple(counts)), foreign
-
-
 def asym_distance(u, v) -> int:
     """Asymmetric distance: the larger of the one-sided difference sums
     sum max(u_i - v_i, 0) and sum max(v_i - u_i, 0).
@@ -245,14 +232,6 @@ def asym_distance(u, v) -> int:
         else:
             down += b - a
     return max(up, down)
-
-
-def gram_distance(x: Word, y: Word, s: GramSet) -> int:
-    """Asymmetric distance between the profiles of two words over s.
-
-    A pseudometric on words: distinct words may share a profile.
-    """
-    return asym_distance(profile(x, s).counts, profile(y, s).counts)
 
 
 @dataclass(frozen=True)

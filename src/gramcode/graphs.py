@@ -48,12 +48,6 @@ class DeBruijnGraph:
     def n_arcs(self):
         return len(self.gram_set)
 
-    def node_label(self, i: int) -> str:
-        return "".join(map(str, self.nodes[i]))
-
-    def is_loop(self, arc: int) -> bool:
-        return self.arc_init[arc] == self.arc_term[arc]
-
     def loops(self) -> list[int]:
         return [self.arc_of[v, v] for v in range(self.n_nodes) if (v, v) in self.arc_of]
 
@@ -86,49 +80,6 @@ def build_graph(s: GramSet) -> DeBruijnGraph:
     return DeBruijnGraph(
         s, nodes, arc_init, arc_term, tuple(map(tuple, out_adj)), arc_of
     )
-
-
-def incidence(graph: DeBruijnGraph) -> list[list[int]]:
-    """Incidence matrix B(D): +1 at the terminal node, -1 at the initial node.
-
-    Loop arcs give all-zero columns; for a connected graph the integer
-    rank is |V| - 1.
-    """
-    m = [[0] * graph.n_arcs for _ in range(graph.n_nodes)]
-    for a in range(graph.n_arcs):
-        u, v = graph.arc_init[a], graph.arc_term[a]
-        if u != v:
-            m[u][a] = -1
-            m[v][a] = 1
-    return m
-
-
-def integer_rank(matrix) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        pivot = rows[row][col]
-        for r in range(row + 1, len(rows)):
-            # Bareiss update keeps all entries integral.
-            factor = rows[r][col]
-            for c in range(col, ncols):
-                rows[r][c] = (rows[r][c] * pivot - factor * rows[row][c]) // prev_pivot
-        prev_pivot = pivot
-        row += 1
-        rank += 1
-        if row == len(rows):
-            break
-    return rank
 
 
 def _tarjan(graph: DeBruijnGraph) -> list[list[int]]:

@@ -24,11 +24,12 @@ level by level and merges partial flows whose states agree: the
 remaining total, the missing balances of the nodes still open and,
 until the pinned level, what the pin has accumulated.  Its work grows
 with the number of distinct states, the DFS's with the number of
-points, so count_points takes it for a system without a congruence
-block whose widest frontier is narrower than the DFS's search
-dimension (full 3 2: 3 against 6), and the DFS for every other system
-(full 2 3: 4 against 4; weight 2 4 1 2 3: 6 against 3) and for every
-enumeration.
+points.  The plan's pass over the arcs also measures both, and
+count_points builds the plan once and hands it to the engine it picks:
+the frontier for a system without a congruence block whose widest
+frontier is narrower than the DFS's search dimension (full 3 2: 3
+against 6), the DFS for every other system (full 2 3: 4 against 4;
+weight 2 4 1 2 3: 6 against 3) and for every enumeration.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -120,12 +121,23 @@ def _plan(system: FlowSystem):
     pinned when there are no decisions or the last one has zero net
     weight.  A congruence block is row-reduced by _block_pivots.
 
+    The same pass picks the counting engine.  A node is *open* once a
+    non-loop arc has touched it and until it is closed (done on both
+    sides); its missing balance is the only one a partial flow can vary.
+    A frontier state after a level holds rem, the open nodes' missing
+    balances (their sum is fixed, so one fewer) and, from the first
+    level the pin depends on until the pin is placed, its accumulator.
+    The DFS searches one dimension per decision level, less the pinned
+    one.  The frontier count is chosen when the widest level boundary
+    is narrower than that, and never for a system with a block.
+
     Returns (levels, total, targets, pinned, pin_weight, pin_terms,
-    pin_const, pivots).  levels[i] = (a, b, a_in_done, a_out_done,
-    b_in_done, b_out_done); pinned is the pinned level, or -1.  The
-    pinned value is rem - pin_const minus w * (value of level j) for
-    each (j, w) in pin_terms, divided by pin_weight.  pivots is the
-    result of _block_pivots, or {} when there is no block.
+    pin_const, pivots, narrow).  levels[i] = (a, b, a_in_done,
+    a_out_done, b_in_done, b_out_done); pinned is the pinned level, or
+    -1.  The pinned value is rem - pin_const minus w * (value of level
+    j) for each (j, w) in pin_terms, divided by pin_weight.  pivots is
+    the result of _block_pivots, or {} when there is no block.  narrow
+    says whether count_points counts by merged frontier states.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -144,6 +156,9 @@ def _plan(system: FlowSystem):
     miss = [{-1: t} if t else {} for t in targets]
     levels = []
     forms = []
+    open_nodes = set()
+    widths = []  # the number of open nodes after each level
+    decisions = 0
     last_dec = len(arcs)
     for i, (a, b) in enumerate(arcs):
         done = (False, False, False, False)
@@ -151,17 +166,26 @@ def _plan(system: FlowSystem):
             out_left[a] -= 1
             in_left[b] -= 1
             done = (in_left[a] == 0, out_left[a] == 0, in_left[b] == 0, out_left[b] == 0)
-        if done[0] and done[1]:
+        a_closed = done[0] and done[1]
+        b_closed = done[2] and done[3]
+        if a_closed:
             form = {key: -c for key, c in miss[a].items()}
-        elif done[2] and done[3]:
+        elif b_closed:
             form = dict(miss[b])
         else:
+            decisions += 1
             last_dec = i
             form = {i: 1}
         if a != b:
             for key, c in form.items():
                 miss[a][key] = miss[a].get(key, 0) + c
                 miss[b][key] = miss[b].get(key, 0) - c
+            open_nodes.update((a, b))
+            if a_closed:
+                open_nodes.discard(a)
+            if b_closed:
+                open_nodes.discard(b)
+        widths.append(len(open_nodes))
         levels.append((a, b) + done)
         forms.append(form)
 
@@ -174,7 +198,12 @@ def _plan(system: FlowSystem):
     pin_terms = [(level, w) for level, w in pin.items() if w]
     pinned = last_dec if pin_weight else -1
     pivots = _block_pivots(system, forms, total, pinned, pin_weight) if system.congruence else {}
-    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots
+    pending_from = min((j for j, _ in pin_terms), default=pinned)
+    width = max(
+        max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
+    )
+    narrow = system.congruence is None and width < decisions - (pinned >= 0)
+    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, narrow
 
 
 def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
@@ -232,7 +261,7 @@ def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
         pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
 
-def _scan(system: FlowSystem):
+def _scan(system: FlowSystem, plan):
     """Depth-first scan yielding the values of every point (pre-base-shift).
 
     An explicit stack of levels: level i keeps its value vals[i], its
@@ -243,9 +272,11 @@ def _scan(system: FlowSystem):
     the values in [lo, hi] with its residue and steps by p; every other
     level steps by 1.  Each point is checked against the block at the
     last level, and a mismatch raises.  The yielded list is shared and
-    overwritten as the scan goes on.
+    overwritten as the scan goes on.  plan is _plan(system); the scan
+    works on its own copy of the targets.
     """
-    levels, total, miss, pinned, pin_weight, pin_terms, pin_const, pivots = _plan(system)
+    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, _ = plan
+    miss = list(targets)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
     if total < 0 or pivots is None:
@@ -343,55 +374,7 @@ def _scan(system: FlowSystem):
             step = None
 
 
-def _open_nodes(levels):
-    """For each level, the nodes open after it, in ascending order.
-
-    A node is open once a non-loop arc has touched it and until it is
-    closed (done on both sides).  Its missing balance is then the only
-    balance a scan state can vary: an untouched node still misses its
-    target, and a closed one misses 0.
-    """
-    now = set()
-    out = []
-    for a, b, a_in, a_out, b_in, b_out in levels:
-        if a != b:
-            now.update((a, b))
-            if a_in and a_out:
-                now.discard(a)
-            if b_in and b_out:
-                now.discard(b)
-        out.append(sorted(now))
-    return out
-
-
-def _uses_frontier(system: FlowSystem) -> bool:
-    """Whether count_points counts the system by merged frontier states.
-
-    Only without a congruence block, and only when the frontier has
-    fewer free coordinates than the DFS.  The DFS searches one dimension
-    per decision level, less the pinned one.  A frontier state after a
-    level holds rem, the open nodes' missing balances (their sum is
-    fixed, so one fewer) and, from the first level the pin depends on
-    until the pin is placed, its accumulator; the widest level boundary
-    bounds the frontier.
-    """
-    if system.congruence is not None:
-        return False
-    levels, _, _, pinned, _, pin_terms, _, _ = _plan(system)
-    decisions = sum(
-        1 for a, b, a_in, a_out, b_in, b_out in levels
-        if a == b or not (a_in and a_out or b_in and b_out)
-    )
-    dimension = decisions - (pinned >= 0)
-    pending_from = min((j for j, _ in pin_terms), default=pinned)
-    width = max(
-        max(len(nodes) - 1, 0) + 1 + (pending_from <= i < pinned)
-        for i, nodes in enumerate(_open_nodes(levels))
-    )
-    return width < dimension
-
-
-def _count_frontier(system: FlowSystem) -> int:
+def _count_frontier(plan) -> int:
     """Count the points level by level, merging equal partial flows.
 
     Walks _plan's levels in order and applies _scan's rules to every
@@ -401,10 +384,13 @@ def _count_frontier(system: FlowSystem) -> int:
     every later level read nothing else, so prefixes with equal states
     have equally many completions and are kept once, with their
     multiplicity.  The accumulator is the sum of w * value over the
-    pin_terms seen so far, reset to 0 once the pin is placed.  No
-    congruence block: the DFS serves those.
+    pin_terms seen so far, reset to 0 once the pin is placed.  A state
+    lists the open nodes in the order they were first touched: states
+    merge only within a level, so any fixed order per level serves.
+    plan is _plan of a system without a congruence block; the DFS
+    serves those.
     """
-    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, _ = _plan(system)
+    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, _, _ = plan
     if total < 0:
         return 0
     weights = dict(pin_terms) if pinned >= 0 else {}
@@ -412,15 +398,16 @@ def _count_frontier(system: FlowSystem) -> int:
     idle = sum(t for t in targets if t > 0)  # untouched nodes' positive balance
     before = []
     states = {(total, 0): 1}
-    for i, (level, after) in enumerate(zip(levels, _open_nodes(levels))):
-        a, b, a_in, a_out, b_in, b_out = level
+    for i, (a, b, a_in, a_out, b_in, b_out) in enumerate(levels):
         # slots: the open nodes before this level, then the nodes this arc
         # touches first; miss adds a spare 0, where a loop's +c and -c cancel
         slots = before + [v for v in (a, b) if a != b and v not in before]
         fresh = [targets[v] for v in slots[len(before):]]
         idle -= sum(t for t in fresh if t > 0)
         pa, pb = (slots.index(a), slots.index(b)) if a != b else (len(slots), len(slots))
-        pick = [slots.index(v) for v in after]
+        # the open nodes after this level: the slots less the ends it closes
+        closed = {v for v, v_in, v_out in ((a, a_in, a_out), (b, b_in, b_out)) if v_in and v_out}
+        pick = [j for j, v in enumerate(slots) if v not in closed]
         w = weights.get(i, 0)
         nxt = {}
         for key, mult in states.items():
@@ -460,7 +447,7 @@ def _count_frontier(system: FlowSystem) -> int:
                 miss[pa] += 1
                 miss[pb] -= 1
         states = nxt
-        before = after
+        before = [slots[j] for j in pick]
     # every point has used the total, placed the pin and closed its nodes
     count = states.pop((0, 0), 0)
     if states:
@@ -471,24 +458,27 @@ def _count_frontier(system: FlowSystem) -> int:
 def count_points(system: FlowSystem) -> int:
     """Number of integer points of the system, exactly.
 
-    Without a congruence block, and when the plan's widest frontier is
-    narrower than the DFS's search dimension, the points are counted by
-    merged frontier states (_count_frontier), whose work grows with the
-    number of distinct partial flows rather than with the number of
-    points.  Every other system, and every system with a block, is
-    counted by the DFS (_scan).  The frontier at a level holds at most
-    as many states as the DFS has prefixes there, so a system whose
-    frontier outgrows memory is one the DFS could not finish either.
+    The level plan is built once and picks the engine (its last field,
+    narrow).  A narrow system, one without a congruence block whose
+    widest frontier is narrower than the DFS's search dimension, is
+    counted by merged frontier states (_count_frontier), whose work
+    grows with the number of distinct partial flows rather than with
+    the number of points.  Every other system, and every system with a
+    block, is counted by the DFS (_scan).  The frontier at a level holds
+    at most as many states as the DFS has prefixes there, so a system
+    whose frontier outgrows memory is one the DFS could not finish
+    either.
     """
-    if _uses_frontier(system):
-        return _count_frontier(system)
-    return sum(1 for _ in _scan(system))
+    plan = _plan(system)
+    if plan[-1]:
+        return _count_frontier(plan)
+    return sum(1 for _ in _scan(system, plan))
 
 
 def enumerate_points(system: FlowSystem):
     """All integer points of the system as count tuples, in DFS order."""
     base = 1 if system.mode == "E" else 0
-    return [tuple([v + base for v in vals]) for vals in _scan(system)]
+    return [tuple([v + base for v in vals]) for vals in _scan(system, _plan(system))]
 
 
 def brute_force_profiles(n, s: GramSet, closed_only=False):

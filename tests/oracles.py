@@ -1,4 +1,4 @@
-"""Exhaustive reference scans that tests compare the library against."""
+"""Exhaustive reference scans and exact helpers that tests compare the library against."""
 
 from itertools import product
 
@@ -130,3 +130,36 @@ def decode_outcome(decode, code, received, max_weight):
         return "ambiguous"
     except DecodeFailure:
         return "failure"
+
+
+def integer_rank(matrix) -> int:
+    """Exact rank of an integer matrix via fraction-free elimination."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    prev_pivot = 1
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+        pivot = rows[row][col]
+        for r in range(row + 1, len(rows)):
+            # Bareiss update keeps all entries integral.
+            factor = rows[r][col]
+            for c in range(col, ncols):
+                rows[r][c] = (rows[r][c] * pivot - factor * rows[row][c]) // prev_pivot
+        prev_pivot = pivot
+        row += 1
+        rank += 1
+        if row == len(rows):
+            break
+    return rank
+
+
+def node_label(graph, v) -> str:
+    """Node v of D(S) as its (ell-1)-gram's digit string."""
+    return "".join(map(str, graph.nodes[v]))

@@ -12,11 +12,11 @@ from gramcode.aecc import (
     choose_prime,
     code_size_ambient,
     decode_bounded,
-    default_code,
     format_code_file,
     is_prime,
     parse_code_file,
 )
+from gramcode.cli import main
 from gramcode.grams import asym_distance
 from oracles import decode_outcome, exhaustive_decode, verify_min_distance
 
@@ -239,9 +239,12 @@ def test_headline_code_bounded_decoding_trials(headline_codebook):
         assert decode_bounded(code, received, 2) == u
 
 
-def test_default_code():
-    code = default_code(8, 2)
-    assert code.p == 11 and code.alphas == tuple(range(1, 9))
+def test_default_code(tmp_path, capsys):
+    # without --p and --alphas: the prime just above max(N, d), alphas 1..N
+    path = tmp_path / "code.txt"
+    assert main(["code-build", "--length", "8", "--d", "2", "--out", str(path)]) == 0
+    assert "p 11" in capsys.readouterr().out.splitlines()
+    assert parse_code_file(path.read_text()) == build_code(11, range(1, 9), 2)
 
 
 def test_code_file_round_trip(tmp_path):

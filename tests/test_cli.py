@@ -172,8 +172,6 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("roundtrip", "--preset", "rank", "--seed", "5"),
         ("roundtrip", "--preset", "rank", "--ssyn", "1"),
         ("roundtrip", "--preset", "systematic", "--ssyn", "-1", "--seed", "5"),
-        ("tables", "--id", "I", "--row", "c(2,2)", "--deep"),
-        ("tables", "--id", "III", "--row", "2 3 full d=1", "--deep"),
         ("simulate", "--word", "0110", "--q", "2", "--ell", "2", "--seed", "1",
          "--trace", str(tmp_path)),
         ("enumerate", "--set", "full", "2", "2", "--n", "-1", "--mode", "words"),

@@ -27,7 +27,7 @@ from gramcode.grams import (
     word,
     word_text,
 )
-from gramcode.graphs import build_graph
+from gramcode.graphs import build_graph, net_outflow
 from gramcode.lattice import brute_force_profiles, enumerate_points, flow_system_for_words
 from oracles import verify_min_distance
 
@@ -143,12 +143,7 @@ def test_systematic_encode_invariants():
         assert u.total == 38
         assert tuple(u[a] for a in layout.info_positions) == message
         assert all(u[a] >= 1 for a in cycle_arcs)
-        flow = [0] * graph.n_nodes
-        for a, c in enumerate(u):
-            if not graph.is_loop(a):
-                flow[graph.arc_term[a]] += c
-                flow[graph.arc_init[a]] -= c
-        assert not any(flow)
+        assert not any(net_outflow(graph, u))
 
 
 def test_systematic_encode_bound_enforcement():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gramcode import grams
+from gramcode.codec import project_observed
 from gramcode.grams import (
     ChannelBudget,
     OutOfSetGramError,
@@ -11,10 +12,8 @@ from gramcode.grams import (
     dna_string,
     explicit_gram_set,
     full_gram_set,
-    gram_distance,
     parse_dna,
     profile,
-    profile_lenient,
     q_weight,
     word,
     word_text,
@@ -116,11 +115,12 @@ def test_profile_strict_reports_gram_and_position():
     assert err.value.position == 3
 
 
-def test_profile_lenient_counts_foreign_mass():
+def test_full_profile_projection_counts_foreign_mass():
+    # a word's grams outside s are counted as foreign mass, the rest over s
     s = build_weight_set(2, 3, 1, 1, 2)
-    counts, foreign = profile_lenient(word("001000", 2), s)
+    counts, foreign = project_observed(profile(word("001000", 2), full_gram_set(2, 3)).counts, s)
     assert foreign == 1
-    assert counts.total == 3
+    assert sum(counts) == 3
 
 
 def test_profile_sum_exhaustive_small_words():
@@ -164,11 +164,15 @@ def test_asym_distance_is_metric_on_equal_sum_vectors():
 
 
 def test_gram_distance():
+    # the asymmetric distance of two words' profiles: a pseudometric on words
     s2 = full_gram_set(2, 2)
-    assert gram_distance(word("0010", 2), word("1001", 2), s2) == 0
-    x = word("011010", 2)
-    assert gram_distance(x, x, s2) == 0
-    assert gram_distance(word("0000", 2), word("0101", 2), s2) == 3
+
+    def gram_distance(x, y):
+        return asym_distance(profile(word(x, 2), s2), profile(word(y, 2), s2))
+
+    assert gram_distance("0010", "1001") == 0
+    assert gram_distance("011010", "011010") == 0
+    assert gram_distance("0000", "0101") == 3
 
 
 def test_dna_round_trip():

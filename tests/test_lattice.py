@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from gramcode import lattice
 from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
 from gramcode.graphs import build_graph
 from gramcode.lattice import (
@@ -12,7 +13,6 @@ from gramcode.lattice import (
     FlowSystem,
     GuardExceeded,
     _plan,
-    _uses_frontier,
     brute_force_profiles,
     count_points,
     enumerate_points,
@@ -81,13 +81,29 @@ def test_count_engine_follows_the_plan(mode):
     # widest frontier against the DFS's search dimension: 3 vs 6 on
     # full 3 2, 4 vs 4 on full 2 3, 6 vs 3 on weight 2 4 1 2 3
     for s in (S32, full_gram_set(4, 2)):
-        assert _uses_frontier(FlowSystem(build_graph(s), 12, mode))
+        assert _plan(FlowSystem(build_graph(s), 12, mode))[-1]
     for s in (S23, SW):
-        assert not _uses_frontier(FlowSystem(build_graph(s), 12, mode))
+        assert not _plan(FlowSystem(build_graph(s), 12, mode))[-1]
     # a congruence block always keeps the DFS
     g = build_graph(S32)
     block = CongruenceBlock((tuple(range(1, g.n_arcs + 1)),), 5, (2,))
-    assert not _uses_frontier(FlowSystem(g, 12, mode, block))
+    assert not _plan(FlowSystem(g, 12, mode, block))[-1]
+
+
+def test_count_plans_once(monkeypatch):
+    # one frontier system (full 3 2) and one DFS system (full 2 3)
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return _plan(system)
+
+    monkeypatch.setattr(lattice, "_plan", counted)
+    for s, points in ((S32, 21), (S23, 8)):
+        system = FlowSystem(build_graph(s), 3)
+        calls.clear()
+        assert count_points(system) == points
+        assert calls == [system]
 
 
 def test_wide_system_is_counted_without_visiting_its_points():

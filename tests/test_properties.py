@@ -290,4 +290,4 @@ def test_frontier_count_matches_the_scan(s, mode, data):
     extra_max = max(e for e in range(15) if comb(e + n - 1, n - 1) <= 10**5)
     m = data.draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
     system = FlowSystem(graph, m, mode)
-    assert _count_frontier(system) == len(enumerate_points(system))
+    assert _count_frontier(_plan(system)) == len(enumerate_points(system))
