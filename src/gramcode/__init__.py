@@ -27,7 +27,6 @@ from .graphs import (
     DeBruijnGraph,
     build_graph,
     cycle_length_lcm,
-    eulerian_circuit,
     eulerian_walk,
     growth_exponent,
     hamiltonian_cycle,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .grams import (
     ChannelBudget, GramSet, ProfileVector, Word, full_gram_set,
 )
-from .graphs import SearchBudgetExceeded, build_graph, eulerian_circuit
+from .graphs import SearchBudgetExceeded, build_graph, eulerian_walk
 
 _MASK = (1 << 64) - 1
 TRAIL_SEARCH_BUDGET = 5_000_000
@@ -271,7 +271,7 @@ def cycle_decomposition(q: int, ell: int):
     length = q ** (ell - 1)
     arcs = _closed_trails(graph, length)
     if arcs is None:
-        walk = eulerian_circuit(graph, [1] * graph.n_arcs)
+        walk = eulerian_walk(graph, [1] * graph.n_arcs)
         arcs = [graph.arc_of[u, v] for u, v in zip(walk, walk[1:])]
     return [arcs[i : i + length] for i in range(0, len(arcs), length)]
 

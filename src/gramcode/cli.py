@@ -197,6 +197,16 @@ def cmd_simulate(args):
     return 0
 
 
+def _write_out(path, key, text):
+    """Write text to path and emit `key path`, or write it to stdout without a path."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        emit(key, path)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_code_build(args):
     echo_config(args, ["length", "d", "p", "alphas", "beta"])
     alphas = (
@@ -210,13 +220,7 @@ def cmd_code_build(args):
         args.p = aecc.choose_prime(args.length, args.d)
     beta = tuple(int(t) for t in args.beta.split(",")) if args.beta else None
     code = aecc.build_code(args.p, alphas, args.d, beta)
-    text = aecc.format_code_file(code)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        emit("code-file", args.out)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, "code-file", aecc.format_code_file(code))
     emit("p", code.p)
     emit("design-distance", code.design_distance)
     return 0
@@ -260,21 +264,15 @@ def cmd_grc_build(args):
         book = codec.systematic_grc(words, layout, args.n, 1)
     emit("codewords", len(book))
     emit("distance", book.distance)
-    text = codec.format_codebook_file(book)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        emit("codebook-file", args.out)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, "codebook-file", codec.format_codebook_file(book))
     return 0
 
 
 def cmd_encode(args):
     s = parse_set(args.set)
     echo_config(args, ["set", "n", "m", "message", "override"])
-    layout = codec.systematic_layout(graphs.build_graph(s), args.m)
     message = tuple(int(t) for t in args.message.split(","))
+    layout = codec.systematic_layout(graphs.build_graph(s), args.m)
     u = codec.systematic_encode(layout, message, args.n, override=args.override)
     emit("profile", u.counts)
     word_out = codec.euler_word(u.counts, s)
@@ -301,8 +299,8 @@ def cmd_decode(args):
 
 def cmd_rank_encode(args):
     echo_config(args, ["q", "ell", "n", "perm"])
-    layout = codec.rank_modulation_layout(args.q, args.ell)
     perm = tuple(int(t) for t in args.perm.split(","))
+    layout = codec.rank_modulation_layout(args.q, args.ell)
     u = codec.rank_encode(layout, perm, args.n)
     emit("info-grams", [layout.gram_set.label(a) for a in layout.info_positions])
     emit("profile", u.counts)

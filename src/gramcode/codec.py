@@ -105,22 +105,24 @@ def message_bound(graph: DeBruijnGraph, n: int) -> int:
 
 
 def systematic_layout(graph: DeBruijnGraph, m: int) -> SystematicLayout:
-    """Build the encoder layout: Hamiltonian cycle, smallest loop, info rest."""
+    """Build the encoder layout: Hamiltonian cycle, smallest loop, info rest.
+
+    The cheap checks (two nodes, a loop, m >= 1) run before the cycle
+    search, whose budget can take seconds to run out.
+    """
     if graph.n_nodes < 2:
         raise ValueError("layout needs at least two nodes")
-    ham_cycle = tuple(hamiltonian_cycle(graph))
-    cycle_arcs = [
-        graph.arc_between(u, v) for u, v in zip(ham_cycle, ham_cycle[1:] + ham_cycle[:1])
-    ]
     loops = graph.loops()
     if not loops:
         raise ValueError("layout needs a loop arc")
+    if m < 1:
+        raise ValueError("message alphabet must be positive")
+    ham_cycle = tuple(hamiltonian_cycle(graph))
+    cycle_arcs = [graph.arc_of[u, v] for u, v in zip(ham_cycle, ham_cycle[1:] + ham_cycle[:1])]
     loop_arc = loops[0]
     info = tuple(
         a for a in range(graph.n_arcs) if a != loop_arc and a not in cycle_arcs
     )
-    if m < 1:
-        raise ValueError("message alphabet must be positive")
     return SystematicLayout(graph, ham_cycle, loop_arc, info, m)
 
 
@@ -161,7 +163,7 @@ def systematic_encode(
     order = [cycle[(start + i) % k] for i in range(k)]
     running = 0
     for i, node in enumerate(order):
-        arc = graph.arc_between(order[i - 1], node)
+        arc = graph.arc_of[order[i - 1], node]
         counts[arc] = 1 + running
         running -= outflow[node]
 

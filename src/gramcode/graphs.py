@@ -51,10 +51,6 @@ class DeBruijnGraph:
     def loops(self) -> list[int]:
         return [self.arc_of[v, v] for v in range(self.n_nodes) if (v, v) in self.arc_of]
 
-    def arc_between(self, u: int, v: int) -> int | None:
-        """Arc index from node u to node v, or None.  Arcs are simple in D(S)."""
-        return self.arc_of.get((u, v))
-
     def successors(self, v: int) -> list[int]:
         """Terminal nodes of the arcs leaving v, ascending."""
         return [self.arc_term[a] for a in self.out_adj[v]]
@@ -205,14 +201,6 @@ def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
         raise ValueError("arc support is disconnected; no single walk covers it")
     output.reverse()
     return output
-
-
-def eulerian_circuit(graph: DeBruijnGraph, multiplicities) -> list[int]:
-    """Eulerian circuit (closed walk) of the multigraph; see eulerian_walk."""
-    walk = eulerian_walk(graph, multiplicities)
-    if walk[0] != walk[-1]:
-        raise ValueError("multigraph is not balanced; no closed walk exists")
-    return walk
 
 
 def hamiltonian_cycle(graph: DeBruijnGraph) -> list[int]:

@@ -24,12 +24,7 @@ level by level and merges partial flows whose states agree: the
 remaining total, the missing balances of the nodes still open and,
 until the pinned level, what the pin has accumulated.  Its work grows
 with the number of distinct states, the DFS's with the number of
-points.  The plan's pass over the arcs also measures both, and
-count_points builds the plan once and hands it to the engine it picks:
-the frontier for a system without a congruence block whose widest
-frontier is narrower than the DFS's search dimension (full 3 2: 3
-against 6), the DFS for every other system (full 2 3: 4 against 4;
-weight 2 4 1 2 3: 6 against 3) and for every enumeration.
+points.  _plan picks the engine for each count.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -38,6 +33,7 @@ quasipolynomials, with a held-out sample verifying every fit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -104,19 +100,28 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
     return FlowSystem(graph, n - graph.gram_set.ell + 1, mode, congruence)
 
 
-def _plan(system: FlowSystem):
-    """The static level plan of the DFS: one pass over the arc order.
+# The presolved system that _plan hands to both engines; _plan names the fields.
+_Plan = namedtuple(
+    "_Plan",
+    "levels total targets pinned pin_weight pin_terms pin_const shift p checks pivots narrow",
+)
 
-    Mode E substitutes u = 1 + u', which lowers the total by |S| and
-    gives every node a target imbalance.  Level i assigns arc i = (a, b).
-    After it, a side of a node is *done* when no later non-loop arc
-    enters it (in) or leaves it (out); the DFS then bounds the value by
-    that node's missing balance.  A non-loop arc that closes one of its
-    endpoints on both sides is *forced*: its value is an integer affine
-    form in the values of the decision levels.  Every other arc, loops
-    included, is a *decision*, with the form {i: 1}.  So the sum over
-    the levels from the last decision on is affine in the decisions;
-    solved against the remaining total it fixes that last decision, the
+
+def _plan(system: FlowSystem) -> _Plan:
+    """Presolve the system in one pass over the arc order.
+
+    Only here, and in FlowSystem's checks, are its mode and block read.
+    Mode E substitutes u = 1 + u', which lowers the total by |S|, gives
+    every node a target imbalance and moves each block residue by its
+    row sum.  Level i assigns arc i = (a, b).  After it, a side of a
+    node is *done* when no later non-loop arc enters it (in) or leaves
+    it (out); the DFS then bounds the value by that node's missing
+    balance.  A non-loop arc that closes one of its endpoints on both
+    sides is *forced*: its value is an integer affine form in the
+    values of the decision levels.  Every other arc, loops included, is
+    a *decision*, with the form {i: 1}.  So the sum over the levels
+    from the last decision on is affine in the decisions; solved
+    against the remaining total it fixes that last decision, the
     *pinned* level, which removes one search dimension.  No level is
     pinned when there are no decisions or the last one has zero net
     weight.  A congruence block is row-reduced by _block_pivots.
@@ -129,21 +134,33 @@ def _plan(system: FlowSystem):
     level the pin depends on until the pin is placed, its accumulator.
     The DFS searches one dimension per decision level, less the pinned
     one.  The frontier count is chosen when the widest level boundary
-    is narrower than that, and never for a system with a block.
+    is narrower than that (full 3 2: 3 against 6), and never for a
+    system with a block; the DFS counts every other system (full 2 3:
+    4 against 4; weight 2 4 1 2 3: 6 against 3) and every enumeration.
+    The frontier at a level holds at most as many states as the DFS has
+    prefixes there, so a system whose frontier outgrows memory is one
+    the DFS could not finish either.
 
-    Returns (levels, total, targets, pinned, pin_weight, pin_terms,
-    pin_const, pivots, narrow).  levels[i] = (a, b, a_in_done,
-    a_out_done, b_in_done, b_out_done); pinned is the pinned level, or
-    -1.  The pinned value is rem - pin_const minus w * (value of level
-    j) for each (j, w) in pin_terms, divided by pin_weight.  pivots is
-    the result of _block_pivots, or {} when there is no block.  narrow
-    says whether count_points counts by merged frontier states.
+    Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
+    b_in_done, b_out_done).  total and targets are what is left after
+    the shift (1 in mode E, else 0) per arc, which enumerate_points adds
+    back.  checks pairs each block row with its residue of
+    H u' = beta - shift * (row sum) mod p; without a block p is None and
+    checks is empty.  pinned is the pinned level, or -1.  The pinned
+    value is rem - pin_const minus w * (value of level j) for each
+    (j, w) in pin_terms, divided by pin_weight.  pivots is the result of
+    _block_pivots, or {} without a block.  narrow says whether
+    count_points counts by merged frontier states.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
     shift = int(system.mode == "E")
     total = system.m_total - shift * len(arcs)
     targets = net_outflow(graph, [shift] * len(arcs))
+    cong = system.congruence
+    p = cong and cong.p
+    rows = zip(cong.rows, cong.beta) if cong else ()
+    checks = tuple((row, (b - shift * sum(row)) % p) for row, b in rows)
     in_left = [0] * graph.n_nodes
     out_left = [0] * graph.n_nodes
     for a, b in arcs:
@@ -197,21 +214,22 @@ def _plan(system: FlowSystem):
     pin_weight = pin.pop(last_dec, 0)
     pin_terms = [(level, w) for level, w in pin.items() if w]
     pinned = last_dec if pin_weight else -1
-    pivots = _block_pivots(system, forms, total, pinned, pin_weight) if system.congruence else {}
+    pivots = _block_pivots(p, checks, forms, total, pinned, pin_weight) if checks else {}
     pending_from = min((j for j, _ in pin_terms), default=pinned)
     width = max(
         max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
     )
-    narrow = system.congruence is None and width < decisions - (pinned >= 0)
-    return levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, narrow
+    narrow = not checks and width < decisions - (pinned >= 0)
+    return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
+                 shift, p, checks, pivots, narrow)
 
 
-def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
+def _block_pivots(p, checks, forms, total, pinned, pin_weight):
     """Row-reduce the congruence block mod p onto the decisions.
 
     An equation here is an affine form in the decision levels, keyed as
-    in _plan, that must vanish mod p.  Through the level forms, each row
-    of H vals = beta - shift * (row sum) becomes one.  When p does not
+    in _plan, that must vanish mod p.  Through the level forms, each
+    (row, residue) pair of _plan's checks becomes one.  When p does not
     divide pin_weight, the total (the sum of the level forms) removes
     the pinned decision from every row; otherwise it stays a column.
     Elimination takes pivot columns from the latest decision backwards,
@@ -223,17 +241,13 @@ def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
     in terms.  Returns None when an equation reduces to 0 = c with
     c != 0, which proves that no point satisfies the block.
     """
-    cong = system.congruence
-    p = cong.p
-    shift = int(system.mode == "E")
-
     def add(eq, form, f):
         for key, c in form.items():
             eq[key] = (eq.get(key, 0) + f * c) % p
 
     eqs = []
-    for row, b in zip(cong.rows, cong.beta):
-        eq = {-1: (shift * sum(row) - b) % p}
+    for row, r in checks:
+        eq = {-1: -r % p}
         for h, form in zip(row, forms):
             add(eq, form, h)
         eqs.append(eq)
@@ -261,7 +275,7 @@ def _block_pivots(system: FlowSystem, forms, total, pinned, pin_weight):
         pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
 
-def _scan(system: FlowSystem, plan):
+def _scan(plan: _Plan):
     """Depth-first scan yielding the values of every point (pre-base-shift).
 
     An explicit stack of levels: level i keeps its value vals[i], its
@@ -272,26 +286,20 @@ def _scan(system: FlowSystem, plan):
     the values in [lo, hi] with its residue and steps by p; every other
     level steps by 1.  Each point is checked against the block at the
     last level, and a mismatch raises.  The yielded list is shared and
-    overwritten as the scan goes on.  plan is _plan(system); the scan
-    works on its own copy of the targets.
+    overwritten as the scan goes on.  The scan works on its own copy of
+    the plan's targets.
     """
-    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, pivots, _ = plan
+    levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
+    p, checks, pivots = plan.p, plan.checks, plan.pivots
     miss = list(targets)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
     if total < 0 or pivots is None:
         return
     solved = {pinned, *pivots}  # the levels whose range is narrowed on entry
-    cong = system.congruence
-    checks = ()
     strides = [1] * n
-    if cong is not None:
-        # H u = H (vals + shift) = beta, so H vals = beta - shift * (row sums)
-        p = cong.p
-        shift = int(system.mode == "E")
-        checks = [(row, (b - shift * sum(row)) % p) for row, b in zip(cong.rows, cong.beta)]
-        for level in pivots:
-            strides[level] = p
+    for level in pivots:
+        strides[level] = p
     last = n - 1
     vals = [0] * n
     his = [0] * n
@@ -374,7 +382,7 @@ def _scan(system: FlowSystem, plan):
             step = None
 
 
-def _count_frontier(plan) -> int:
+def _count_frontier(plan: _Plan) -> int:
     """Count the points level by level, merging equal partial flows.
 
     Walks _plan's levels in order and applies _scan's rules to every
@@ -390,7 +398,7 @@ def _count_frontier(plan) -> int:
     plan is _plan of a system without a congruence block; the DFS
     serves those.
     """
-    levels, total, targets, pinned, pin_weight, pin_terms, pin_const, _, _ = plan
+    levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
     if total < 0:
         return 0
     weights = dict(pin_terms) if pinned >= 0 else {}
@@ -458,27 +466,20 @@ def _count_frontier(plan) -> int:
 def count_points(system: FlowSystem) -> int:
     """Number of integer points of the system, exactly.
 
-    The level plan is built once and picks the engine (its last field,
-    narrow).  A narrow system, one without a congruence block whose
-    widest frontier is narrower than the DFS's search dimension, is
-    counted by merged frontier states (_count_frontier), whose work
-    grows with the number of distinct partial flows rather than with
-    the number of points.  Every other system, and every system with a
-    block, is counted by the DFS (_scan).  The frontier at a level holds
-    at most as many states as the DFS has prefixes there, so a system
-    whose frontier outgrows memory is one the DFS could not finish
-    either.
+    The plan is built once and picks the engine (see _plan): merged
+    frontier states (_count_frontier) or the DFS (_scan).
     """
     plan = _plan(system)
-    if plan[-1]:
+    if plan.narrow:
         return _count_frontier(plan)
-    return sum(1 for _ in _scan(system, plan))
+    return sum(1 for _ in _scan(plan))
 
 
 def enumerate_points(system: FlowSystem):
     """All integer points of the system as count tuples, in DFS order."""
-    base = 1 if system.mode == "E" else 0
-    return [tuple([v + base for v in vals]) for vals in _scan(system, _plan(system))]
+    plan = _plan(system)
+    base = plan.shift
+    return [tuple([v + base for v in vals]) for vals in _scan(plan)]
 
 
 def brute_force_profiles(n, s: GramSet, closed_only=False):

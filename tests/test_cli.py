@@ -97,7 +97,7 @@ def test_simulate_requires_seed():
     assert err.value.code == 2
 
 
-def test_validation_error_exit_code(tmp_path, capsys):
+def test_validation_error_exit_code(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("--threads", "1", "graph-info", "--set", "full", "2", "2")
     assert err.value.code == 2
@@ -136,6 +136,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
     head, *rows = book.read_text().splitlines()
     negative_book = tmp_path / "negative_book.txt"
     negative_book.write_text("\n".join([head, "15 -1 0 2 1 1 2 0", *rows]) + "\n")
+    # input that the checks refuse before any Hamiltonian search: a search
+    # would run out of this budget and exit 3
+    monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 5)
     for argv in (
         ("graph-info", "--set", "weight", "2", "4", "9", "2", "3"),
         ("graph-info", "--set", "full", "2"),
@@ -185,6 +188,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("decode", "--codebook", str(book), "--profile", str(negative8)),
         ("rank-decode", "--q", "2", "--ell", "3", "--profile", str(negative_rank)),
         ("decode", "--codebook", str(negative_book), "--profile", str(observed)),
+        # m = 0, no loop, or a bad message on graphs without a quick cycle
+        ("encode", "--set", "weight", "3", "5", "2", "1", "3", "--n", "2000", "--m", "0",
+         "--message", "0"),
+        ("grc-build", "--method", "systematic", "--set", "weight", "3", "5", "2", "1", "3",
+         "--n", "2000", "--m", "0"),
+        ("encode", "--set", "weight", "2", "11", "1", "2", "9", "--n", "5000", "--m", "1",
+         "--message", "x"),
+        ("encode", "--set", "weight", "3", "5", "2", "1", "3", "--n", "2000", "--m", "1",
+         "--message", "0"),
     ):
         capsys.readouterr()
         status, out = run_cli(*argv)

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from gramcode import codec
 from gramcode.aecc import build_code, code_size_ambient
 from gramcode.codec import (
     GrcCodebook,
@@ -125,6 +126,21 @@ def test_systematic_layout_rejects_bad_pieces():
         systematic_layout(g, 0)
 
 
+def test_systematic_layout_checks_before_the_cycle_search(monkeypatch):
+    def no_search(graph):
+        raise AssertionError("the Hamiltonian search ran")
+
+    monkeypatch.setattr(codec, "hamiltonian_cycle", no_search)
+    with pytest.raises(ValueError, match="message alphabet must be positive"):
+        systematic_layout(build_graph(S23), 0)
+    # weight 3 5 2 1 3 has 65 nodes, no loop and no Hamiltonian cycle
+    loopless = build_graph(build_weight_set(3, 5, 2, 1, 3))
+    assert loopless.loops() == []
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="layout needs a loop arc"):
+            systematic_layout(loopless, m)
+
+
 def test_systematic_encode_reference_profiles():
     layout = systematic_layout(build_graph(S23), 2)
     for message, expected in SYSTEMATIC_PROFILES.items():
@@ -135,7 +151,7 @@ def test_systematic_encode_invariants():
     graph = build_graph(S23)
     layout = systematic_layout(graph, 3)
     cycle_arcs = [
-        graph.arc_between(u, v)
+        graph.arc_of[u, v]
         for u, v in zip(layout.ham_cycle, layout.ham_cycle[1:] + layout.ham_cycle[:1])
     ]
     for message in product(range(3), repeat=3):

@@ -7,7 +7,6 @@ from gramcode.graphs import (
     SearchBudgetExceeded,
     build_graph,
     cycle_length_lcm,
-    eulerian_circuit,
     eulerian_walk,
     growth_exponent,
     hamiltonian_cycle,
@@ -56,7 +55,7 @@ def test_adjacency_matches_arc_scan(s):
         assert g.successors(u) == sorted({t for i, t in ends if i == u})
         for v in range(g.n_nodes):
             scan = [a for a, pair in enumerate(ends) if pair == (u, v)]
-            assert g.arc_between(u, v) == (scan[0] if scan else None)
+            assert g.arc_of.get((u, v)) == (scan[0] if scan else None)
     assert g.loops() == [a for a, (i, t) in enumerate(ends) if i == t]
 
 
@@ -118,21 +117,23 @@ def test_balanced_degrees_on_weight_windows():
                         assert not any(net_outflow(g, [1] * g.n_arcs))
 
 
-def test_eulerian_circuit_covers_multiplicities():
+def test_eulerian_walk_closed_covers_multiplicities():
     g = build_graph(full_gram_set(2, 3))
     mult = (14, 1, 0, 1, 1, 0, 1, 0)
-    walk = eulerian_circuit(g, mult)
+    walk = eulerian_walk(g, mult)
     assert walk[0] == walk[-1]
     assert len(walk) == sum(mult) + 1
     traversed = [0] * g.n_arcs
     for u, v in zip(walk, walk[1:]):
-        traversed[g.arc_between(u, v)] += 1
+        traversed[g.arc_of[u, v]] += 1
     assert tuple(traversed) == mult
 
 
-def test_eulerian_circuit_single_loop():
+def test_eulerian_walk_closed_single_loop():
     g = build_graph(explicit_gram_set(2, 2, [(0, 0)]))
-    assert eulerian_circuit(g, [5]) == [0] * 6
+    walk = eulerian_walk(g, [5])
+    assert walk[0] == walk[-1]
+    assert walk == [0] * 6
 
 
 def test_eulerian_walk_open():
@@ -176,7 +177,7 @@ def test_hamiltonian_full_cube():
             assert cyc[0] == 0
             assert sorted(cyc) == list(range(graph.n_nodes))
             for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-                assert graph.arc_between(u, v) is not None
+                assert (u, v) in graph.arc_of
 
 
 def test_hamiltonian_absent():
@@ -211,7 +212,7 @@ def test_cycle_incidence_annihilation():
                 continue
             chi = [0] * g.n_arcs
             for u, v in zip(walk, walk[1:]):
-                chi[g.arc_between(u, v)] += 1
+                chi[g.arc_of[u, v]] += 1
             assert net_outflow(g, chi) == [0] * g.n_nodes
 
 

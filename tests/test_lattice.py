@@ -81,13 +81,13 @@ def test_count_engine_follows_the_plan(mode):
     # widest frontier against the DFS's search dimension: 3 vs 6 on
     # full 3 2, 4 vs 4 on full 2 3, 6 vs 3 on weight 2 4 1 2 3
     for s in (S32, full_gram_set(4, 2)):
-        assert _plan(FlowSystem(build_graph(s), 12, mode))[-1]
+        assert _plan(FlowSystem(build_graph(s), 12, mode)).narrow
     for s in (S23, SW):
-        assert not _plan(FlowSystem(build_graph(s), 12, mode))[-1]
+        assert not _plan(FlowSystem(build_graph(s), 12, mode)).narrow
     # a congruence block always keeps the DFS
     g = build_graph(S32)
     block = CongruenceBlock((tuple(range(1, g.n_arcs + 1)),), 5, (2,))
-    assert not _plan(FlowSystem(g, 12, mode, block))[-1]
+    assert not _plan(FlowSystem(g, 12, mode, block)).narrow
 
 
 def test_count_plans_once(monkeypatch):
@@ -239,7 +239,7 @@ def test_congruence_pin_weight_divisible_by_p():
         for beta in (0, 1):
             system = FlowSystem(g, m, mode, CongruenceBlock(((1, 1, 0),), 2, (beta,)))
             plan = _plan(system)
-            pinned, pin_weight, pivots = plan[3], plan[4], plan[7]
+            pinned, pin_weight, pivots = plan.pinned, plan.pin_weight, plan.pivots
             assert pin_weight == 2 and pinned in pivots
             points = enumerate_points(system)
             assert len(points) == 2 and points == block_filtered(system)

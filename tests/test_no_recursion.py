@@ -1,32 +1,23 @@
 import ast
 from pathlib import Path
 
+from source_walk import qualified_functions
+
 ALLOWED = set()
 
 
 def _self_calls(tree):
     """Qualified names of the functions whose bodies call them by name."""
-    found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = prefix + child.name
-                if any(
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Name)
-                    and sub.func.id == child.name
-                    for sub in ast.walk(child)
-                ):
-                    found.append(name)
-                visit(child, name + ".")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return found
+    return [
+        name
+        for name, function in qualified_functions(tree)
+        if any(
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == function.name
+            for sub in ast.walk(function)
+        )
+    ]
 
 
 def test_no_function_calls_itself():

@@ -250,7 +250,7 @@ def congruence_systems(draw):
     if shape == "pin weight":
         # full and weight sets have pin weight 1; explicit and cyclic sets
         # often have 2 to 4
-        weight = _plan(FlowSystem(graph, m, mode))[4]
+        weight = _plan(FlowSystem(graph, m, mode)).pin_weight
         primes = [p for p in primes if weight and weight % p == 0] or primes
     p = draw(st.sampled_from(primes))
     d = draw(st.integers(1, 3))

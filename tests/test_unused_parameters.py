@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from source_walk import qualified_functions
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -12,31 +14,20 @@ def _unused_parameters(tree):
     exempt.
     """
     found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = prefix + child.name
-                a = child.args
-                params = [
-                    arg.arg
-                    for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
-                    if arg is not None and arg.arg not in ("self", "cls")
-                ]
-                read = {
-                    sub.id
-                    for stmt in child.body
-                    for sub in ast.walk(stmt)
-                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-                }
-                found.extend(f"{name}: {param}" for param in params if param not in read)
-                visit(child, name + ".")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
+    for name, function in qualified_functions(tree):
+        a = function.args
+        params = [
+            arg.arg
+            for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if arg is not None and arg.arg not in ("self", "cls")
+        ]
+        read = {
+            sub.id
+            for stmt in function.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        found.extend(f"{name}: {param}" for param in params if param not in read)
     return found
 
 
