@@ -34,7 +34,6 @@ from .graphs import (
     strongly_connected_components,
 )
 from .lattice import (
-    CongruenceBlock,
     FlowSystem,
     QuasiPolynomial,
     brute_force_profiles,
@@ -46,6 +45,7 @@ from .lattice import (
     reciprocity_check,
 )
 from .aecc import (
+    CongruenceBlock,
     VarshamovCode,
     build_code,
     choose_prime,

@@ -2,19 +2,21 @@
 
 A code is the set of nonnegative integer vectors u with H u = beta
 (mod p), where row j of H holds the (j+1)-th powers of N distinct
-nonzero residues.  With d rows the code corrects any asymmetric error
-of L1-weight at most d (its asymmetric distance is d+1).  Decoding up
-to weight d is algebraic, after Varshamov (1973) and Klove (1981): the
-syndrome gives the power sums of the error locators, Newton's identities
-the locator polynomial, and its roots among the alphas the error.  Only
-weights past d, where two codewords can tie, are searched pattern by
-pattern.  Membership and sizing are plain modular arithmetic.
+nonzero residues: a CongruenceBlock, as the lattice scan takes it.
+With d rows the code corrects any asymmetric error of L1-weight at
+most d (its asymmetric distance is d+1).  Decoding up to weight d is
+algebraic, after Varshamov (1973) and Klove (1981): the syndrome gives
+the power sums of the error locators, Newton's identities the locator
+polynomial, and its roots among the alphas the error.  Only weights
+past d, where two codewords can tie, are searched pattern by pattern.
+Membership and sizing are plain modular arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import mul
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -61,26 +63,33 @@ def choose_prime(n_symbols: int, d: int) -> int:
 
 
 @dataclass(frozen=True)
-class VarshamovCode:
-    """Parity structure H u = beta (mod p) with power-of-alpha rows."""
+class CongruenceBlock:
+    """Rows H, prime modulus p and residues beta: keep only H u = beta (mod p)."""
 
-    p: int
-    alphas: tuple[int, ...]
-    d: int
-    beta: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+    p: int
+    beta: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError("congruence block needs at least one row")
+        if len({len(row) for row in self.rows}) != 1:
+            raise ValueError("congruence rows must have equal lengths")
+        if not is_prime(self.p):
+            raise ValueError(f"congruence modulus must be prime, got {self.p}")
+        object.__setattr__(
+            self, "rows", tuple(tuple(h % self.p for h in row) for row in self.rows)
+        )
+        object.__setattr__(self, "beta", tuple(b % self.p for b in self.beta))
+        if len(self.beta) != len(self.rows):
+            raise ValueError("one beta residue per row required")
 
     @property
     def length(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def design_distance(self) -> int:
-        """Asymmetric distance guaranteed by d parity rows."""
-        return self.d + 1
+        return len(self.rows[0])
 
     def syndrome(self, u) -> tuple[int, ...]:
-        return tuple(sum(h * c for h, c in zip(row, u)) % self.p for row in self.rows)
+        return tuple(sum(map(mul, row, u)) % self.p for row in self.rows)
 
     def is_member(self, u) -> bool:
         if len(u) != self.length:
@@ -90,58 +99,50 @@ class VarshamovCode:
         return self.syndrome(u) == self.beta
 
 
+@dataclass(frozen=True)
+class VarshamovCode(CongruenceBlock):
+    """A block whose row j holds the (j+1)-th powers of the alphas."""
+
+    alphas: tuple[int, ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.rows)
+
+    @property
+    def design_distance(self) -> int:
+        """Asymmetric distance guaranteed by d parity rows."""
+        return self.d + 1
+
+
 def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
-    """Materialize the parity matrix H[j][i] = alphas[i]**(j+1) mod p."""
+    """The code with H[j][i] = alphas[i]**(j+1) mod p; its block checks p and beta."""
     alphas = tuple(a % p for a in alphas)
     n = len(alphas)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p <= n or p <= d:
         raise ValueError(f"need p > N and p > d, got p={p}, N={n}, d={d}")
     if d < 1:
         raise ValueError("need at least one parity row")
     if not alphas or len(set(alphas)) != n or 0 in alphas:
         raise ValueError("alphas must be nonempty, distinct and nonzero mod p")
-    if beta is None:
-        beta = (0,) * d
-    beta = tuple(b % p for b in beta)
-    if len(beta) != d:
-        raise ValueError(f"beta must have {d} entries")
-    rows = tuple(
-        tuple(pow(a, j + 1, p) for a in alphas) for j in range(d)
-    )
-    return VarshamovCode(p, alphas, d, beta, rows)
+    rows = tuple(tuple(pow(a, j + 1, p) for a in alphas) for j in range(d))
+    return VarshamovCode(rows, p, (0,) * d if beta is None else beta, alphas)
 
 
-def code_size_ambient(code: VarshamovCode, m: int) -> int:
-    """Number of members of [m]^N, via dynamic programming over syndromes."""
+def code_size_ambient(code: CongruenceBlock, m: int) -> int:
+    """Number of members of [m]^N, by dynamic programming over partial syndromes."""
     if m < 0:
         raise ValueError("ambient alphabet size must be nonnegative")
-    p, d = code.p, code.d
-    space = p**d
-    table = [0] * space
-    table[0] = 1
-    for i in range(code.length):
-        col = [code.rows[j][i] for j in range(d)]
-        nxt = [0] * space
-        for state, ways in enumerate(table):
-            if not ways:
-                continue
-            digits = []
-            st = state
-            for _ in range(d):
-                st, r = divmod(st, p)
-                digits.append(r)
+    p = code.p
+    table = {(0,) * len(code.rows): 1}
+    for col in zip(*code.rows):
+        nxt = {}
+        for state, ways in table.items():
             for value in range(m):
-                key = 0
-                for j in range(d - 1, -1, -1):
-                    key = key * p + (digits[j] + col[j] * value) % p
-                nxt[key] += ways
+                key = tuple((s + h * value) % p for s, h in zip(state, col))
+                nxt[key] = nxt.get(key, 0) + ways
         table = nxt
-    key = 0
-    for j in range(d - 1, -1, -1):
-        key = key * p + code.beta[j]
-    return table[key]
+    return table.get(code.beta, 0)
 
 
 def decode_bounded(code: VarshamovCode, received, max_weight: int):

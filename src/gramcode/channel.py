@@ -76,10 +76,10 @@ class Splitmix64:
 class ChannelTrace:
     """Everything a transmission did, sufficient for bit-exact replay.
 
-    synthesis: (position, new symbol) pairs, ascending positions.
-    dropped: indices into the gram occurrences of the synthesized word.
-    gram_subs: (survivor index, new gram) pairs; survivor indices count
-    the occurrences left after drops, in position order.
+    synthesis: (position, new symbol) pairs, distinct ascending positions.
+    dropped: distinct indices into the synthesized word's gram occurrences.
+    gram_subs: (survivor index, new gram) pairs, distinct indices that
+    count the occurrences left after drops, in position order.
     """
 
     seed: int | None
@@ -91,6 +91,8 @@ class ChannelTrace:
 def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
     """x's gram occurrences, in position order, after synthesis and drops."""
     n = len(x)
+    if len({pos for pos, _ in synthesis}) < len(synthesis):
+        raise ValueError("synthesis positions must be distinct")
     symbols = list(x.symbols)
     for pos, new in synthesis:
         if not 0 <= pos < n:
@@ -99,14 +101,18 @@ def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
             raise ValueError("substitution must change the symbol")
         symbols[pos] = new
     n_grams = n - ell + 1
-    dropped = set(dropped)
-    if any(not 0 <= i < n_grams for i in dropped):
+    drops = set(dropped)
+    if len(drops) < len(dropped):
+        raise ValueError("dropped indices must be distinct")
+    if any(not 0 <= i < n_grams for i in drops):
         raise ValueError("dropped index out of range")
-    return [tuple(symbols[i : i + ell]) for i in range(n_grams) if i not in dropped]
+    return [tuple(symbols[i : i + ell]) for i in range(n_grams) if i not in drops]
 
 
 def _observe(survivors: list, gram_subs, q: int, ell: int) -> ProfileVector:
     """Substitute grams in the survivors and count them over the full cube."""
+    if len({idx for idx, _ in gram_subs}) < len(gram_subs):
+        raise ValueError("substitution indices must be distinct")
     for idx, new_gram in gram_subs:
         if not 0 <= idx < len(survivors):
             raise ValueError(f"substitution index {idx} out of range")

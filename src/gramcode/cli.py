@@ -153,8 +153,7 @@ def cmd_enumerate(args):
                 emit("point", u)
         return 0
     code = _load_code(args.code) if args.code else None
-    cong = code and lattice.CongruenceBlock(code.rows, code.p, code.beta)
-    system = lattice.flow_system_for_words(graphs.build_graph(s), args.n, args.mode, cong)
+    system = lattice.flow_system_for_words(graphs.build_graph(s), args.n, args.mode, code)
     emit("total", system.m_total)
     if args.points:
         points = lattice.enumerate_points(system)
@@ -382,9 +381,8 @@ def _example_headline(t):
     reference = {1: 11036, 2: 185197}[t]
     code = aecc.build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
     graph = graphs.build_graph(grams.full_gram_set(2, 3))
-    cong = lattice.CongruenceBlock(code.rows, code.p, code.beta)
     count = lattice.count_points(
-        lattice.flow_system_for_words(graph, 156 * t + 2, "E", cong)
+        lattice.flow_system_for_words(graph, 156 * t + 2, "E", code)
     )
     return _report(f"grc-size n={156 * t + 2}", count, reference)
 

@@ -33,7 +33,7 @@ from .graphs import (
     hamiltonian_cycle,
     net_outflow,
 )
-from .lattice import CongruenceBlock, enumerate_points, flow_system_for_words
+from .lattice import enumerate_points, flow_system_for_words
 
 
 def euler_word(counts, s: GramSet, graph: DeBruijnGraph | None = None) -> Word:
@@ -196,14 +196,13 @@ def grc_intersect(code: VarshamovCode, n: int, s: GramSet) -> GrcCodebook:
     """Codebook of Varshamov members among the profiles of length-n words.
 
     Interior flow points (every count >= 1) are guaranteed realizable,
-    so the enumeration with the code's congruence block is the codebook;
+    so the enumeration restricted by the code is the codebook;
     each one is still certified by building its word.
     """
     if code.length != len(s):
         raise ValueError("code length must match the gram set size")
     graph = build_graph(s)
-    cong = CongruenceBlock(code.rows, code.p, code.beta)
-    points = enumerate_points(flow_system_for_words(graph, n, "E", cong))
+    points = enumerate_points(flow_system_for_words(graph, n, "E", code))
     for u in points:
         euler_word(u, s, graph)
     return GrcCodebook(n, s, tuple(points), code.design_distance, "intersection")

@@ -11,9 +11,10 @@ endpoints, so its value follows from the earlier levels; a *decision*
 level ranges over an interval; the last decision is *pinned*, solved
 from the remaining total.  Intervals come from remaining-sum bounds,
 per-node imbalance reachability, and each endpoint's balance once its
-in- or out-arcs are exhausted.  An optional modular block (H, p, beta)
-restricts points to a congruence class, which is how code
-intersections are counted.  The plan row-reduces H u = beta (mod p)
+in- or out-arcs are exhausted.  An optional CongruenceBlock (H, p, beta),
+a Varshamov code among them, restricts points to a congruence class,
+which is how code intersections are counted.  The plan moves the block
+to the scan's coordinates and row-reduces the plan's shifted block
 onto the decisions, so each *pivot* decision's residue follows from
 earlier decisions; a row that reduces to 0 = c with c != 0 empties the
 system before the scan starts.  Everything is exact: integers and
@@ -37,9 +38,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
-from .aecc import is_prime
+from .aecc import CongruenceBlock
 from .grams import GramSet
 from .graphs import DeBruijnGraph, build_graph, net_outflow
 
@@ -48,29 +48,6 @@ BRUTE_FORCE_GUARD = 10**8
 
 class GuardExceeded(RuntimeError):
     """A brute-force enumeration would exceed its step guard."""
-
-
-@dataclass(frozen=True)
-class CongruenceBlock:
-    """Rows H, prime modulus p and residues beta: keep only H u = beta (mod p)."""
-
-    rows: tuple[tuple[int, ...], ...]
-    p: int
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("congruence block needs at least one row")
-        if len({len(row) for row in self.rows}) != 1:
-            raise ValueError("congruence rows must have equal lengths")
-        if not is_prime(self.p):
-            raise ValueError(f"congruence modulus must be prime, got {self.p}")
-        object.__setattr__(
-            self, "rows", tuple(tuple(h % self.p for h in row) for row in self.rows)
-        )
-        object.__setattr__(self, "beta", tuple(b % self.p for b in self.beta))
-        if len(self.beta) != len(self.rows):
-            raise ValueError("one beta residue per row required")
 
 
 @dataclass(frozen=True)
@@ -91,7 +68,7 @@ class FlowSystem:
             raise ValueError(f"mode must be 'F' or 'E', got {self.mode!r}")
         if self.m_total < 0:
             raise ValueError("entry sum must be nonnegative")
-        if self.congruence is not None and len(self.congruence.rows[0]) != self.graph.n_arcs:
+        if self.congruence is not None and self.congruence.length != self.graph.n_arcs:
             raise ValueError("congruence rows must have one entry per arc")
 
 
@@ -103,7 +80,7 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
 # The presolved system that _plan hands to both engines; _plan names the fields.
 _Plan = namedtuple(
     "_Plan",
-    "levels total targets pinned pin_weight pin_terms pin_const shift p checks pivots narrow",
+    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow",
 )
 
 
@@ -124,7 +101,7 @@ def _plan(system: FlowSystem) -> _Plan:
     against the remaining total it fixes that last decision, the
     *pinned* level, which removes one search dimension.  No level is
     pinned when there are no decisions or the last one has zero net
-    weight.  A congruence block is row-reduced by _block_pivots.
+    weight.  The plan's shifted block is row-reduced by _block_pivots.
 
     The same pass picks the counting engine.  A node is *open* once a
     non-loop arc has touched it and until it is closed (done on both
@@ -144,11 +121,11 @@ def _plan(system: FlowSystem) -> _Plan:
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
     the shift (1 in mode E, else 0) per arc, which enumerate_points adds
-    back.  checks pairs each block row with its residue of
-    H u' = beta - shift * (row sum) mod p; without a block p is None and
-    checks is empty.  pinned is the pinned level, or -1.  The pinned
-    value is rem - pin_const minus w * (value of level j) for each
-    (j, w) in pin_terms, divided by pin_weight.  pivots is the result of
+    back.  block is the plan's shifted block, the system's rows and p
+    with the residues beta - shift * (row sum) that H u' must meet, or
+    None.  pinned is the pinned level, or -1.  The pinned value is
+    rem - pin_const minus w * (value of level j) for each (j, w) in
+    pin_terms, divided by pin_weight.  pivots is the result of
     _block_pivots, or {} without a block.  narrow says whether
     count_points counts by merged frontier states.
     """
@@ -158,9 +135,8 @@ def _plan(system: FlowSystem) -> _Plan:
     total = system.m_total - shift * len(arcs)
     targets = net_outflow(graph, [shift] * len(arcs))
     cong = system.congruence
-    p = cong and cong.p
-    rows = zip(cong.rows, cong.beta) if cong else ()
-    checks = tuple((row, (b - shift * sum(row)) % p) for row, b in rows)
+    residues = [b - shift * sum(row) for row, b in zip(cong.rows, cong.beta)] if cong else ()
+    block = cong and CongruenceBlock(cong.rows, cong.p, residues)
     in_left = [0] * graph.n_nodes
     out_left = [0] * graph.n_nodes
     for a, b in arcs:
@@ -214,24 +190,25 @@ def _plan(system: FlowSystem) -> _Plan:
     pin_weight = pin.pop(last_dec, 0)
     pin_terms = [(level, w) for level, w in pin.items() if w]
     pinned = last_dec if pin_weight else -1
-    pivots = _block_pivots(p, checks, forms, total, pinned, pin_weight) if checks else {}
+    pivots = _block_pivots(block, forms, total, pinned, pin_weight) if block else {}
     pending_from = min((j for j, _ in pin_terms), default=pinned)
     width = max(
         max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
     )
-    narrow = not checks and width < decisions - (pinned >= 0)
+    narrow = not block and width < decisions - (pinned >= 0)
     return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
-                 shift, p, checks, pivots, narrow)
+                 shift, block, pivots, narrow)
 
 
-def _block_pivots(p, checks, forms, total, pinned, pin_weight):
-    """Row-reduce the congruence block mod p onto the decisions.
+def _block_pivots(block, forms, total, pinned, pin_weight):
+    """Row-reduce the plan's shifted block mod its p onto the decisions.
 
     An equation here is an affine form in the decision levels, keyed as
     in _plan, that must vanish mod p.  Through the level forms, each
-    (row, residue) pair of _plan's checks becomes one.  When p does not
-    divide pin_weight, the total (the sum of the level forms) removes
-    the pinned decision from every row; otherwise it stays a column.
+    row of the plan's shifted block, with its residue, becomes one.
+    When p does not divide pin_weight, the total (the sum of the level
+    forms) removes the pinned decision from every row; otherwise it
+    stays a column.
     Elimination takes pivot columns from the latest decision backwards,
     so a pivot's equation holds only its pivot and earlier decisions,
     and the DFS knows the pivot's residue when it enters that level.
@@ -241,12 +218,13 @@ def _block_pivots(p, checks, forms, total, pinned, pin_weight):
     in terms.  Returns None when an equation reduces to 0 = c with
     c != 0, which proves that no point satisfies the block.
     """
+    p = block.p
     def add(eq, form, f):
         for key, c in form.items():
             eq[key] = (eq.get(key, 0) + f * c) % p
 
     eqs = []
-    for row, r in checks:
+    for row, r in zip(block.rows, block.beta):
         eq = {-1: -r % p}
         for h, form in zip(row, forms):
             add(eq, form, h)
@@ -282,15 +260,16 @@ def _scan(plan: _Plan):
     upper bound his[i], and on entry the remaining total rems[i] and the
     positive missing balance poss[i].  A value c moves c units of
     missing balance from node b to node a, so a loop leaves the balances
-    as they are.  A pivot level of a congruence block is narrowed to
-    the values in [lo, hi] with its residue and steps by p; every other
-    level steps by 1.  Each point is checked against the block at the
-    last level, and a mismatch raises.  The yielded list is shared and
-    overwritten as the scan goes on.  The scan works on its own copy of
-    the plan's targets.
+    as they are.  A pivot level of the plan's shifted block is narrowed
+    to the values in [lo, hi] with its residue and steps by the block's
+    p; every other level steps by 1.  Each point's syndrome is checked
+    against that block at the last level, and a mismatch raises.  The
+    yielded list is shared and overwritten as the scan goes on.  The
+    scan works on its own copy of the plan's targets.
     """
     levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
-    p, checks, pivots = plan.p, plan.checks, plan.pivots
+    block, pivots = plan.block, plan.pivots
+    p = block and block.p
     miss = list(targets)
     n = len(levels)
     pos = sum(m for m in miss if m > 0)
@@ -371,9 +350,8 @@ def _scan(plan: _Plan):
             his[i] = c  # no larger value fits: the next pass leaves the level
         elif i == last:
             # c == rem here, and npos + c <= rem left npos == 0
-            for row, r in checks:
-                if sum(map(mul, row, vals)) % p != r:
-                    raise AssertionError("a point left the congruence class of its pivots")
+            if block and block.syndrome(vals) != block.beta:
+                raise AssertionError("a point left the congruence class of its pivots")
             yield vals
         else:
             rems[i + 1] = rem - c
@@ -395,8 +373,8 @@ def _count_frontier(plan: _Plan) -> int:
     pin_terms seen so far, reset to 0 once the pin is placed.  A state
     lists the open nodes in the order they were first touched: states
     merge only within a level, so any fixed order per level serves.
-    plan is _plan of a system without a congruence block; the DFS
-    serves those.
+    plan is _plan of a system without a block (the plan's shifted block
+    is None); the DFS serves those.
     """
     levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
     if total < 0:

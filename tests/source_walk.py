@@ -1,8 +1,22 @@
-"""The walk over a module's functions that the source lints share."""
+"""The source loader and the function walk that the source lints share."""
 
 import ast
+from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def parsed_sources(*folders):
+    """(path, tree) for every .py file in the folders, named relative to ROOT.
+
+    Folder by folder, in the order given, and sorted by path within each.
+    """
+    return [
+        (path, ast.parse(path.read_text()))
+        for folder in folders
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
 
 
 def qualified_functions(tree):

@@ -109,9 +109,8 @@ def test_criterion_08_headline_codebook_size(headline_codebook):
 
 def test_criterion_08_deep_doubled_length():
     code = aecc.build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
-    cong = lattice.CongruenceBlock(code.rows, code.p, code.beta)
     count = lattice.count_points(
-        lattice.flow_system_for_words(graphs.build_graph(S23), 314, "E", cong)
+        lattice.flow_system_for_words(graphs.build_graph(S23), 314, "E", code)
     )
     check(8, "codebook count at the doubled length n=314 equals 185197", count == 185197)
 

@@ -7,6 +7,7 @@ import pytest
 from gramcode import aecc
 from gramcode.aecc import (
     AmbiguousDecode,
+    CongruenceBlock,
     DecodeFailure,
     build_code,
     choose_prime,
@@ -73,6 +74,7 @@ def test_build_code_validation():
         build_code(5, (1, 2, 3), 2, beta=(0,))
     with pytest.raises(ValueError):
         build_code(2, (), 1)  # no alphas
+    assert isinstance(build_code(5, (1, 2, 3), 2), CongruenceBlock)
 
 
 def test_zero_vector_membership():
@@ -104,9 +106,14 @@ def test_code_size_ambient_degenerate():
 
 
 def test_code_size_ambient_matches_scan():
-    code = build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
-    scanned = sum(1 for u in product(range(2), repeat=8) if code.is_member(u))
-    assert code_size_ambient(code, 2) == scanned
+    cases = [
+        (build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2), 2),
+        (build_code(7, (1, 2, 3, 4, 5, 6), 3, beta=(2, 5, 1)), 3),  # d = 3, nonzero beta
+        (build_code(5, (1, 2, 3), 2, beta=(1, 2)), 0),  # the empty ambient [0]^N
+    ]
+    for code, m in cases:
+        scanned = sum(1 for u in product(range(m), repeat=code.length) if code.is_member(u))
+        assert code_size_ambient(code, m) == scanned
 
 
 def test_decode_identity():

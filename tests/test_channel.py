@@ -65,6 +65,15 @@ def test_inject_validation():
         inject(x, 2, ChannelTrace(None, (), (), ((0, (1, 2)),)))  # symbol >= q
     with pytest.raises(ValueError):
         inject(x, 2, ChannelTrace(None, ((1, 5),), (), ()))
+    # a repeated loss, synthesis position or substitution index
+    y = word("0110100", 2)
+    for trace in (
+        ChannelTrace(None, (), (0, 0), ()),
+        ChannelTrace(None, ((1, 0), (1, 1)), (), ()),
+        ChannelTrace(None, (), (), ((0, (1, 1)), (0, (0, 0)))),
+    ):
+        with pytest.raises(ValueError):
+            inject(y, 2, trace)
 
 
 def test_transmit_replay_and_determinism():

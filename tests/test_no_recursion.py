@@ -1,7 +1,6 @@
 import ast
-from pathlib import Path
 
-from source_walk import qualified_functions
+from source_walk import ROOT, parsed_sources, qualified_functions
 
 ALLOWED = set()
 
@@ -21,12 +20,10 @@ def _self_calls(tree):
 
 
 def test_no_function_calls_itself():
-    root = Path(__file__).resolve().parent.parent
-    paths = sorted((root / "src" / "gramcode").glob("*.py")) + sorted((root / "bench").glob("*.py"))
     recursive = {
-        (str(path.relative_to(root)), name)
-        for path in paths
-        for name in _self_calls(ast.parse(path.read_text()))
+        (str(path.relative_to(ROOT)), name)
+        for path, tree in parsed_sources("src/gramcode", "bench")
+        for name in _self_calls(tree)
     }
     assert recursive == ALLOWED, sorted(recursive ^ ALLOWED)
 

@@ -1,7 +1,6 @@
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from source_walk import parsed_sources
 
 # Paper results that acceptance criteria and unit tests check, and the
 # trace replay path: kept in the library without a caller of their own.
@@ -55,15 +54,9 @@ def _unused_functions(defining, reading):
 
 
 def test_every_function_has_a_consumer():
-    sources = {
-        path: ast.parse(path.read_text())
-        for folder in (ROOT / "src" / "gramcode", ROOT / "bench")
-        for path in sorted(folder.glob("*.py"))
-    }
-    defining = [
-        (path.name, tree) for path, tree in sources.items() if path.parent.name == "gramcode"
-    ]
-    unused = _unused_functions(defining, sources.values())
+    sources = parsed_sources("src/gramcode", "bench")
+    defining = [(path.name, tree) for path, tree in sources if path.parent.name == "gramcode"]
+    unused = _unused_functions(defining, [tree for _, tree in sources])
     assert [entry for entry in unused if entry.split(": ")[1] not in ALLOWED] == []
     # a name that gains a consumer leaves the allowlist
     assert ALLOWED <= {entry.split(": ")[1] for entry in unused}

@@ -1,7 +1,6 @@
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from source_walk import parsed_sources
 
 
 def _unused_imports(tree):
@@ -20,16 +19,11 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    paths = [
-        path
-        for folder in (ROOT / "src" / "gramcode", ROOT / "tests", ROOT / "bench")
-        for path in sorted(folder.glob("*.py"))
-    ]
     unused = {
         f"{path.parent.name}/{path.name}: {name}"
-        for path in paths
+        for path, tree in parsed_sources("src/gramcode", "tests", "bench")
         if path.name != "__init__.py"
-        for name in _unused_imports(ast.parse(path.read_text()))
+        for name in _unused_imports(tree)
     }
     assert not unused, sorted(unused)
 

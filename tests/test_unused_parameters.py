@@ -1,9 +1,6 @@
 import ast
-from pathlib import Path
 
-from source_walk import qualified_functions
-
-ROOT = Path(__file__).resolve().parent.parent
+from source_walk import parsed_sources, qualified_functions
 
 
 def _unused_parameters(tree):
@@ -34,8 +31,8 @@ def _unused_parameters(tree):
 def test_no_unused_parameters():
     unused = {
         f"{path.name}::{entry}"
-        for path in sorted((ROOT / "src" / "gramcode").glob("*.py"))
-        for entry in _unused_parameters(ast.parse(path.read_text()))
+        for path, tree in parsed_sources("src/gramcode")
+        for entry in _unused_parameters(tree)
     }
     assert not unused, sorted(unused)
 
