@@ -117,10 +117,10 @@ class VarshamovCode(CongruenceBlock):
 
 def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
     """The code with H[j][i] = alphas[i]**(j+1) mod p; its block checks p and beta."""
-    alphas = tuple(a % p for a in alphas)
     n = len(alphas)
     if p <= n or p <= d:
         raise ValueError(f"need p > N and p > d, got p={p}, N={n}, d={d}")
+    alphas = tuple(a % p for a in alphas)
     if d < 1:
         raise ValueError("need at least one parity row")
     if not alphas or len(set(alphas)) != n or 0 in alphas:

@@ -20,12 +20,21 @@ earlier decisions; a row that reduces to 0 = c with c != 0 empties the
 system before the scan starts.  Everything is exact: integers and
 Fractions only.
 
+A count by the DFS stops one level early, at the *fold* level: the
+last decision that is not pinned.  Every level after it is forced or
+pinned, so each of its values, and the rules that make the tail a
+point, are affine in the fold level's value c; the c with a point form
+an interval and one residue class (from the pinned value's
+divisibility by its weight), counted in closed form per prefix.  So a
+count skips the points of the innermost free dimension, while an
+enumeration still visits every point.
+
 Counting has a second engine beside the DFS.  It walks the same plan
 level by level and merges partial flows whose states agree: the
 remaining total, the missing balances of the nodes still open and,
 until the pinned level, what the pin has accumulated.  Its work grows
 with the number of distinct states, the DFS's with the number of
-points.  _plan picks the engine for each count.
+prefixes at the fold level.  _plan picks the engine for each count.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -38,6 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .aecc import CongruenceBlock
 from .grams import GramSet
@@ -80,7 +90,7 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
 # The presolved system that _plan hands to both engines; _plan names the fields.
 _Plan = namedtuple(
     "_Plan",
-    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow",
+    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow fold",
 )
 
 
@@ -118,6 +128,14 @@ def _plan(system: FlowSystem) -> _Plan:
     prefixes there, so a system whose frontier outgrows memory is one
     the DFS could not finish either.
 
+    The pass also finds the *fold* level for the DFS count: the last
+    decision before the pinned one, or the last decision when none is
+    pinned.  count_points has _fold_tail compile the levels from it on
+    into rows once, so its scan stops there and _fold_count counts each
+    prefix's points in closed form.  A system with a block, or with no
+    decision besides the pinned one, has no fold level and its count
+    scans every point.
+
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
     the shift (1 in mode E, else 0) per arc, which enumerate_points adds
@@ -127,7 +145,8 @@ def _plan(system: FlowSystem) -> _Plan:
     rem - pin_const minus w * (value of level j) for each (j, w) in
     pin_terms, divided by pin_weight.  pivots is the result of
     _block_pivots, or {} without a block.  narrow says whether
-    count_points counts by merged frontier states.
+    count_points counts by merged frontier states.  fold is the fold
+    level, or -1.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -153,6 +172,7 @@ def _plan(system: FlowSystem) -> _Plan:
     widths = []  # the number of open nodes after each level
     decisions = 0
     last_dec = len(arcs)
+    prior_dec = -1  # the decision before last_dec
     for i, (a, b) in enumerate(arcs):
         done = (False, False, False, False)
         if a != b:
@@ -166,6 +186,8 @@ def _plan(system: FlowSystem) -> _Plan:
         elif b_closed:
             form = dict(miss[b])
         else:
+            if decisions:
+                prior_dec = last_dec
             decisions += 1
             last_dec = i
             form = {i: 1}
@@ -196,8 +218,144 @@ def _plan(system: FlowSystem) -> _Plan:
         max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
     )
     narrow = not block and width < decisions - (pinned >= 0)
+    free = prior_dec if pinned >= 0 else last_dec if decisions else -1
+    fold = -1 if block else free
     return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
-                 shift, block, pivots, narrow)
+                 shift, block, pivots, narrow, fold)
+
+
+def _fold_tail(plan: _Plan):
+    """Compile the plan's levels from its fold level on into rows over the scan's state.
+
+    Every level after the fold level is forced or pinned, so once the
+    scan enters the fold level with its remaining total rem and missing
+    balances miss, the value c of that level fixes the rest: each later
+    value is affine in c, rem and miss, the pinned one divided by the pin
+    weight W.  The prefix's points are the c >= 0 whose tail is a point:
+    every later value >= 0, a node closed from one end by a forced arc
+    also balanced at its other end, and the values summing to rem.  The
+    sum solves the pinned value P = N / W, with N affine; rows holding
+    P are multiplied by |W| to keep them integral, and W | N becomes a
+    residue class of c.  Without a pinned level the sum is a row.
+
+    Affine forms are {key: coefficient} with the keys v >= 0 for miss[v],
+    -1 for the constant, -2 for rem, -3 for c and -4 for P.  A row is
+    (constant, rem coefficient, ((v, coefficient), ...), c coefficient,
+    equality): its form must be >= 0, or == 0 if equality.  Rows that
+    hold without c come first, so _fold_count can stop before reading c.
+
+    Returns (rows, pin).  pin is None when there is no pinned level or
+    W is 1 or -1.  Otherwise it is (N's constant, rem coefficient and
+    miss terms, g, m, inv) for N's c coefficient B: g = gcd(B, |W|),
+    m = |W| / g, and inv is the inverse of B / g modulo m (0 when m is
+    1).
+    """
+    def add(form, other, f):
+        for key, k in other.items():
+            form[key] = form.get(key, 0) + f * k
+
+    levels, level, pinned = plan.levels, plan.fold, plan.pinned
+    miss = {}
+    total = {}
+    forms = []  # (form, equality)
+    for i in range(level, len(levels)):
+        a, b, a_in, a_out, b_in, b_out = levels[i]
+        for v in (a, b):
+            miss.setdefault(v, {v: 1})
+        if i == level:
+            value = {-3: 1}
+        elif i == pinned:
+            value = {-4: 1}
+        elif a_in and a_out:
+            value = {key: -k for key, k in miss[a].items()}
+        else:
+            value = dict(miss[b])
+        forms.append((value, False))
+        add(total, value, 1)
+        if a != b:
+            add(miss[a], value, 1)
+            add(miss[b], value, -1)
+            if a_in and a_out and b_in and b_out:
+                forms.append((dict(miss[b]), True))
+    rest = {-2: 1}
+    add(rest, total, -1)
+    pin = None
+    if pinned >= 0:
+        # rest = N - W * P
+        w = -rest.pop(-4)
+        sign = 1 if w > 0 else -1
+        w *= sign
+        for form, _ in forms:
+            k = form.pop(-4, 0)
+            if k:
+                for key in form:
+                    form[key] *= w
+                add(form, rest, k * sign)
+        if w > 1:
+            beta = rest.get(-3, 0)
+            g = gcd(beta, w)
+            m = w // g
+            pin = (*_fold_row(rest)[:3], g, m, pow(beta // g, -1, m) if m > 1 else 0)
+    else:
+        forms.append((rest, True))
+    rows = []
+    for form, equality in forms:
+        row = _fold_row(form, equality)
+        if row not in rows and row != (0, 0, (), 1, False):  # c >= 0 starts the range
+            rows.append(row)
+    rows.sort(key=lambda row: row[3] != 0)
+    return rows, pin
+
+
+def _fold_row(form, equality=False):
+    """A _fold_tail form as a row: (constant, rem coefficient, miss terms, c coefficient, equality)."""
+    terms = tuple(sorted((key, k) for key, k in form.items() if key >= 0 and k))
+    return form.get(-1, 0), form.get(-2, 0), terms, form.get(-3, 0), equality
+
+
+def _fold_count(fold, rem, miss):
+    """Points of one prefix that enters the fold level: rem and miss on entry.
+
+    Intersects the interval of the fold value c, from 0 and rem, with
+    each of fold's rows in order and stops at the first that empties it,
+    then counts the interval's members of the pin's residue class (see
+    _fold_tail).
+    """
+    rows, pin = fold
+    lo, hi = 0, rem
+    for const, k_rem, terms, beta, equality in rows:
+        x = const + k_rem * rem
+        for v, k in terms:
+            x += k * miss[v]
+        # the row reads x + beta * c >= 0, or == 0
+        if equality:
+            if beta:
+                c, leftover = divmod(-x, beta)
+                if leftover:
+                    return 0
+                lo = max(lo, c)
+                hi = min(hi, c)
+            elif x:
+                return 0
+        elif beta > 0:
+            lo = max(lo, -(x // beta))
+        elif beta < 0:
+            hi = min(hi, x // -beta)
+        elif x < 0:
+            return 0
+        if lo > hi:
+            return 0
+    if pin is None:
+        return hi - lo + 1
+    const, k_rem, terms, g, m, inv = pin
+    x = const + k_rem * rem
+    for v, k in terms:
+        x += k * miss[v]
+    if x % g:
+        return 0
+    # c = r (mod m) makes N = x + beta * c a multiple of |W|
+    r = -(x // g) * inv % m
+    return (hi - r) // m - (lo - 1 - r) // m
 
 
 def _block_pivots(block, forms, total, pinned, pin_weight):
@@ -253,7 +411,7 @@ def _block_pivots(block, forms, total, pinned, pin_weight):
         pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
 
-def _scan(plan: _Plan):
+def _scan(plan: _Plan, fold=None):
     """Depth-first scan yielding the values of every point (pre-base-shift).
 
     An explicit stack of levels: level i keeps its value vals[i], its
@@ -266,6 +424,10 @@ def _scan(plan: _Plan):
     against that block at the last level, and a mismatch raises.  The
     yielded list is shared and overwritten as the scan goes on.  The
     scan works on its own copy of the plan's targets.
+
+    Given fold, the plan's tail from _fold_tail, the scan stops at the
+    fold level: each prefix that enters it yields its number of points,
+    from _fold_count, and the levels after it are not scanned.
     """
     levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
     block, pivots = plan.block, plan.pivots
@@ -276,6 +438,7 @@ def _scan(plan: _Plan):
     if total < 0 or pivots is None:
         return
     solved = {pinned, *pivots}  # the levels whose range is narrowed on entry
+    stop = plan.fold if fold else -1
     strides = [1] * n
     for level in pivots:
         strides[level] = p
@@ -291,6 +454,11 @@ def _scan(plan: _Plan):
         a, b, a_in, a_out, b_in, b_out = levels[i]
         rem = rems[i]
         if step is None:
+            if i == stop:
+                yield _fold_count(fold, rem, miss)
+                i -= 1
+                step = 1
+                continue
             lo, hi = 0, rem
             if a_in:
                 hi = min(hi, -miss[a])
@@ -445,11 +613,15 @@ def count_points(system: FlowSystem) -> int:
     """Number of integer points of the system, exactly.
 
     The plan is built once and picks the engine (see _plan): merged
-    frontier states (_count_frontier) or the DFS (_scan).
+    frontier states (_count_frontier) or the DFS (_scan), which stops at
+    the plan's fold level and counts the last free dimension in closed
+    form (_fold_count) whenever the plan has one.
     """
     plan = _plan(system)
     if plan.narrow:
         return _count_frontier(plan)
+    if plan.fold >= 0:
+        return sum(_scan(plan, _fold_tail(plan)))
     return sum(1 for _ in _scan(plan))
 
 

@@ -179,6 +179,7 @@ def test_validation_error_exit_code(tmp_path, monkeypatch, capsys):
          "--trace", str(tmp_path)),
         ("enumerate", "--set", "full", "2", "2", "--n", "-1", "--mode", "words"),
         ("code-build", "--length", "0", "--d", "1"),
+        ("code-build", "--length", "3", "--d", "2", "--p", "0"),
         # gram length 1: no de Bruijn graph
         ("graph-info", "--set", "full", "2", "1"),
         ("rank-encode", "--q", "2", "--ell", "1", "--n", "6", "--perm", "0"),

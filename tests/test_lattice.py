@@ -113,6 +113,14 @@ def test_wide_system_is_counted_without_visiting_its_points():
     assert time.process_time() - start < 1.0
 
 
+def test_folded_counts_match_the_reference():
+    # the largest counts of two fit rows in bench/reference.json, where
+    # the DFS alone visits every point
+    for s, m, counts in ((SW, 300, (78831, 71329)), (S23, 72, (115801, 74209))):
+        g = build_graph(s)
+        assert [count_points(FlowSystem(g, m, mode)) for mode in "FE"] == list(counts)
+
+
 def test_infeasible_systems_are_empty():
     g = build_graph(S23)
     assert enumerate_points(FlowSystem(g, 3, "E")) == []

@@ -7,6 +7,7 @@ run draws the same cases and writes nothing to disk.
 from itertools import count
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,9 @@ from gramcode.lattice import (
     CongruenceBlock,
     FlowSystem,
     _count_frontier,
+    _fold_tail,
     _plan,
+    _scan,
     brute_force_profiles,
     count_points,
     enumerate_points,
@@ -280,14 +283,71 @@ def test_congruence_scan_filters_the_plain_scan(system):
     assert count_points(system) == len(kept)
 
 
-@settings(PROPERTY, max_examples=300)
-@given(gram_sets(), st.sampled_from("FE"), st.data())
-def test_frontier_count_matches_the_scan(s, mode, data):
-    # the total left after mode E's one unit per arc is at most 14, and
-    # small enough that the arcs' compositions of it stay few
+def _small_system(s, mode, data):
+    """A system on s whose total, past mode E's one unit per arc, is at
+    most 14 and small enough that the arcs' compositions of it stay few."""
     graph = build_graph(s)
     n = graph.n_arcs
     extra_max = max(e for e in range(15) if comb(e + n - 1, n - 1) <= 10**5)
     m = data.draw(st.integers(0, extra_max)) + (n if mode == "E" else 0)
-    system = FlowSystem(graph, m, mode)
+    return FlowSystem(graph, m, mode)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(gram_sets(), st.sampled_from("FE"), st.data())
+def test_frontier_count_matches_the_scan(s, mode, data):
+    system = _small_system(s, mode, data)
     assert _count_frontier(_plan(system)) == len(enumerate_points(system))
+
+
+def _folded_count(system):
+    """The count of the scan stopped at the fold level, or None without one."""
+    plan = _plan(system)
+    return sum(_scan(plan, _fold_tail(plan))) if plan.fold >= 0 else None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(gram_sets(), st.sampled_from("FE"), st.data())
+def test_fold_count_matches_the_scan(s, mode, data):
+    system = _small_system(s, mode, data)
+    folded = _folded_count(system)
+    if folded is not None:
+        assert folded == len(enumerate_points(system))
+
+
+# (gram set, pin weight, fold level, pinned level) for each tail shape the
+# fold solves, -1 standing for no such level.  The fold level is never the
+# last level: a decision there is pinned with weight 1.
+FOLD_SHAPES = {
+    # a + 3b = M: the pin's residue class mod 3, and a loop folded
+    "pin weight 3": (explicit_gram_set(2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+                     3, 0, 1),
+    "negative pin weight": (explicit_gram_set(2, 4, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1),
+                                                     (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0)]),
+                            -2, 0, 1),
+    # the loop 111 is pinned, and forced levels lie between fold and pin
+    "pinned loop": (full_gram_set(2, 3), 1, 3, 7),
+    # two loops: the fold level is the one before the pinned last level
+    "fold next to the pin": (explicit_gram_set(2, 2, [(0, 0), (1, 1)]), 1, 0, 1),
+    # cycles of lengths 2 and 4 through a shared arc: the last decision
+    # moves no total, so nothing is pinned and the sum is a row
+    "no pinned level": (explicit_gram_set(3, 3, [(0, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 0),
+                                                 (2, 0, 1)]),
+                        0, 2, -1),
+    # one 2-cycle: its only decision is pinned, so there is nothing to fold
+    "no free decision": (explicit_gram_set(2, 2, [(0, 1), (1, 0)]), 2, -1, 0),
+}
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+@pytest.mark.parametrize("mode", "FE")
+def test_fold_count_on_each_tail_shape(shape, mode):
+    s, weight, level, pinned = FOLD_SHAPES[shape]
+    graph = build_graph(s)
+    plan = _plan(FlowSystem(graph, 0, mode))
+    assert (plan.pin_weight, plan.fold, plan.pinned) == (weight, level, pinned)
+    for m in range(graph.n_arcs + 16):
+        system = FlowSystem(graph, m, mode)
+        points = len(enumerate_points(system))
+        assert count_points(system) == points
+        assert _folded_count(system) == (points if level >= 0 else None)
