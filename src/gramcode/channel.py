@@ -3,7 +3,8 @@
 A transmission applies, in order: exactly s_syn symbol substitutions at
 distinct positions of the word, loss of t of its gram occurrences, and
 a single-symbol substitution inside s_seq of the surviving occurrences.
-The observation is the resulting count vector over the full gram cube.
+The observation is the resulting count vector over the full gram cube,
+counted by each occurrence's base-q value without listing the cube.
 Every random draw comes from a splitmix64 stream seeded explicitly, so
 traces replay bit-exactly anywhere.  `inject` applies a trace verbatim;
 `transmit` draws one and applies it through the same helpers, building
@@ -30,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .grams import (
-    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set,
+    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, gram_values,
 )
 from .graphs import SearchBudgetExceeded, build_graph, eulerian_walk
 
@@ -88,8 +89,8 @@ class ChannelTrace:
     gram_subs: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
-    """x's gram occurrences, in position order, after synthesis and drops."""
+def _survivors(x: Word, ell: int, synthesis, dropped) -> list[int]:
+    """x's gram occurrences as base-q values, in position order, after synthesis and drops."""
     n = len(x)
     if len({pos for pos, _ in synthesis}) < len(synthesis):
         raise ValueError("synthesis positions must be distinct")
@@ -97,6 +98,8 @@ def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
     for pos, new in synthesis:
         if not 0 <= pos < n:
             raise ValueError(f"synthesis position {pos} out of range")
+        if new not in range(x.q):
+            raise ValueError(f"symbol {new} out of range for q={x.q}")
         if symbols[pos] == new:
             raise ValueError("substitution must change the symbol")
         symbols[pos] = new
@@ -106,26 +109,26 @@ def _survivors(x: Word, ell: int, synthesis, dropped) -> list:
         raise ValueError("dropped indices must be distinct")
     if any(not 0 <= i < n_grams for i in drops):
         raise ValueError("dropped index out of range")
-    return [tuple(symbols[i : i + ell]) for i in range(n_grams) if i not in drops]
+    return [v for i, v in enumerate(gram_values(symbols, x.q, ell)) if i not in drops]
 
 
-def _observe(survivors: list, gram_subs, q: int, ell: int) -> ProfileVector:
-    """Substitute grams in the survivors and count them over the full cube."""
+def _observe(survivors: list[int], gram_subs, q: int, ell: int) -> ProfileVector:
+    """Substitute grams in the survivors and count their values over the full cube."""
     if len({idx for idx, _ in gram_subs}) < len(gram_subs):
         raise ValueError("substitution indices must be distinct")
     for idx, new_gram in gram_subs:
         if not 0 <= idx < len(survivors):
             raise ValueError(f"substitution index {idx} out of range")
-        if tuple(new_gram) == survivors[idx]:
+        new_gram = tuple(new_gram)
+        if len(new_gram) != ell or any(s not in range(q) for s in new_gram):
+            raise ValueError(f"gram {new_gram} lies outside [{q}]^{ell}")
+        value = gram_values(new_gram, q, ell)[0]
+        if value == survivors[idx]:
             raise ValueError("gram substitution must change the gram")
-        survivors[idx] = tuple(new_gram)
-    index = full_gram_set(q, ell).index
-    counts = [0] * len(index)
-    for g in survivors:
-        i = index.get(g)
-        if i is None:
-            raise ValueError(f"gram {g} lies outside [{q}]^{ell}")
-        counts[i] += 1
+        survivors[idx] = value
+    counts = [0] * q**ell
+    for value in survivors:
+        counts[value] += 1
     return ProfileVector(tuple(counts))
 
 
@@ -175,7 +178,7 @@ def transmit(
     survivors = _survivors(x, ell, synthesis, dropped)
     gram_subs = []
     for idx in rng.sample(len(survivors), s_seq):
-        old = survivors[idx]
+        old = tuple(survivors[idx] // q**k % q for k in reversed(range(ell)))  # the survivor's gram
         inside = rng.below(ell)
         new_symbol = (old[inside] + 1 + rng.below(q - 1)) % q
         gram_subs.append((idx, old[:inside] + (new_symbol,) + old[inside + 1 :]))
@@ -217,9 +220,8 @@ def support_readout(counts, s: GramSet):
 
 def star_distance(x: Word, y: Word, ell: int) -> int:
     """Size of the symmetric difference of the words' gram supports."""
-    sx = {tuple(g) for g in x.grams(ell)}
-    sy = {tuple(g) for g in y.grams(ell)}
-    return len(sx ^ sy)
+    q = max(x.q, y.q)
+    return len(set(gram_values(x.symbols, q, ell)) ^ set(gram_values(y.symbols, q, ell)))
 
 
 def star_identification_bound(n: int, ell: int, d: int) -> int:

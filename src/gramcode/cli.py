@@ -107,8 +107,9 @@ def _read_counts(path, s=None, n=None):
     """Counts of a profile file whose header names s or its full cube, and n, when given."""
     with open(path) as handle:
         s_file, n_file, counts = grams.parse_profile_file(handle.read())
-    if s is not None and s_file != s and s_file != grams.full_gram_set(s.q, s.ell):
-        raise ValueError("profile header gram set is neither S nor its full cube")
+    if s is not None and s_file != s:
+        if not s_file.is_full() or (s_file.q, s_file.ell) != (s.q, s.ell):
+            raise ValueError("profile header gram set is neither S nor its full cube")
     if n is not None and n_file != n:
         raise ValueError(f"profile header n={n_file} does not match n={n}")
     return counts

@@ -237,8 +237,7 @@ def project_observed(observed, s: GramSet):
         raise ValueError(
             f"observation length {len(observed)} matches neither |S| nor q^ell"
         )
-    index = full_gram_set(s.q, s.ell).index
-    projected = tuple(observed[index[g]] for g in s.grams)
+    projected = tuple(observed[value] for value in s.values)
     return projected, sum(observed) - sum(projected)
 
 

@@ -1,10 +1,11 @@
 """Words, l-grams, weight-restricted gram sets, profiles and distances.
 
 A word is a q-ary sequence; its l-gram profile counts how often each
-length-l substring occurs, with grams indexed lexicographically.  Gram
-sets may be the full cube [q]^l, a weight-restricted subset (the
-GC-content style constraint) or an explicit list.  All values here are
-immutable and all operations are pure.
+length-l substring occurs, with grams ranked by their base-q value,
+rolled along a word as r <- (r*q + s) mod q^l (Karp-Rabin without a
+hash modulus, so exact).  Gram sets may be the full cube [q]^l, a
+weight-restricted subset (the GC-content style constraint) or an
+explicit list.  All values here are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from math import comb
 
 DNA_LETTERS = "ATGC"
 MAX_DIGIT_ALPHABET = 9
+MAX_CUBE = 2**20
+
+
+class CubeTooLarge(RuntimeError):
+    """A gram cube [q]^ell too large to list."""
 
 
 class OutOfSetGramError(ValueError):
@@ -51,11 +57,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.symbols)
-
-    def grams(self, ell: int):
-        """All length-ell windows of the word, in position order."""
-        s = self.symbols
-        return [s[i : i + ell] for i in range(len(s) - ell + 1)]
 
 
 def word(text: str, q: int) -> Word:
@@ -102,18 +103,32 @@ def q_weight(symbols, q: int, q_star: int) -> int:
     return sum(1 for s in symbols if s >= low)
 
 
+def gram_values(symbols, q: int, ell: int) -> list[int]:
+    """Base-q values of the ell-grams of a symbol sequence, in position order.
+
+    A gram's value is its rank in the full cube [q]^ell.
+    """
+    modulus = q**ell
+    rolled = []
+    r = 0
+    for s in symbols:
+        r = (r * q + s) % modulus
+        rolled.append(r)
+    return rolled[ell - 1 :]
+
+
 @dataclass(frozen=True)
 class GramSet:
     """An ordered subset of [q]^ell with positional (lexicographic) indexing.
 
-    `index` maps each gram to its position in `grams`: the one gram
-    rank.  Over the full cube a gram's position is its base-q value.
+    Sorted grams have increasing base-q values, and `positions` maps
+    values to their grams' positions: each value itself over the full cube.
     """
 
     q: int
     ell: int
     grams: tuple[tuple[int, ...], ...]
-    index: dict = field(init=False, repr=False, compare=False)
+    _positions: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ell < 1:
@@ -130,13 +145,28 @@ class GramSet:
             if prev is not None and g <= prev:
                 raise ValueError("grams must be strictly sorted")
             prev = g
-        object.__setattr__(self, "index", {g: i for i, g in enumerate(self.grams)})
+        if not self.is_full():
+            positions = {gram_values(g, self.q, self.ell)[0]: i for i, g in enumerate(self.grams)}
+            object.__setattr__(self, "_positions", positions)
 
     def __len__(self):
         return len(self.grams)
 
     def __contains__(self, gram):
-        return tuple(gram) in self.index
+        gram = tuple(gram)
+        valid = len(gram) == self.ell and all(s in range(self.q) for s in gram)
+        return valid and self.positions(gram_values(gram, self.q, self.ell))[0] is not None
+
+    @property
+    def values(self):
+        """The base-q value of each gram, in order."""
+        return range(len(self)) if self._positions is None else self._positions.keys()
+
+    def positions(self, values) -> list[int | None]:
+        """Position of the gram with each base-q value; None where absent."""
+        if self._positions is None:
+            return [v if 0 <= v < len(self) else None for v in values]
+        return list(map(self._positions.get, values))
 
     def is_full(self) -> bool:
         return len(self.grams) == self.q**self.ell
@@ -145,10 +175,18 @@ class GramSet:
         return "".join(map(str, self.grams[i]))
 
 
+def _cube(q: int, ell: int):
+    """All of [q]^ell in lexicographic order, refused above MAX_CUBE grams."""
+    # q >= 2 puts q**ell above MAX_CUBE once ell reaches its bit length
+    if q ** min(ell, MAX_CUBE.bit_length()) > MAX_CUBE:
+        raise CubeTooLarge(f"{q}**{ell} grams exceed the cube guard of {MAX_CUBE}")
+    return product(range(q), repeat=ell)
+
+
 @cache
 def full_gram_set(q: int, ell: int) -> GramSet:
     """The unrestricted gram set [q]^ell, built once per (q, ell)."""
-    return GramSet(q, ell, tuple(product(range(q), repeat=ell)))
+    return GramSet(q, ell, tuple(_cube(q, ell)))
 
 
 def build_weight_set(q: int, ell: int, q_star: int, w1: int, w2: int) -> GramSet:
@@ -156,7 +194,7 @@ def build_weight_set(q: int, ell: int, q_star: int, w1: int, w2: int) -> GramSet
     if not 0 <= w1 <= w2 <= ell:
         raise ValueError(f"need 0 <= w1 <= w2 <= ell, got [{w1}, {w2}]")
     grams = tuple(
-        g for g in product(range(q), repeat=ell) if w1 <= q_weight(g, q, q_star) <= w2
+        g for g in _cube(q, ell) if w1 <= q_weight(g, q, q_star) <= w2
     )
     if not grams:
         raise ValueError("weight constraints admit no grams")
@@ -203,15 +241,20 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
 
     The count vector sums to len(x) - ell + 1.
     """
-    counts = [0] * len(s)
     ell = s.ell
     if len(x) < ell:
         raise ValueError(f"word of length {len(x)} has no {ell}-grams")
-    for pos, g in enumerate(x.grams(ell)):
-        idx = s.index.get(g)
-        if idx is None:
-            raise OutOfSetGramError(g, pos)
-        counts[idx] += 1
+    values = gram_values(x.symbols, s.q, ell)
+    stop = len(values)
+    if x.q > s.q:  # a symbol outside [s.q] would alias another value: stop at its first window
+        stop = next((max(i - ell + 1, 0) for i, c in enumerate(x) if c >= s.q), stop)
+    counts = [0] * len(s)
+    for pos, i in enumerate(s.positions(values[:stop])):
+        if i is None:
+            raise OutOfSetGramError(x.symbols[pos : pos + ell], pos)
+        counts[i] += 1
+    if stop < len(values):
+        raise OutOfSetGramError(x.symbols[stop : stop + ell], stop)
     return ProfileVector(tuple(counts))
 
 

@@ -39,6 +39,24 @@ def word_profiles(n, s, closed_only=False):
     return found
 
 
+def cube_index(q, ell):
+    """Oracle: each gram of [q]^ell mapped to its lexicographic position."""
+    return {g: i for i, g in enumerate(product(range(q), repeat=ell))}
+
+
+def slice_profile(symbols, s):
+    """Oracle: (counts over s, None) for a symbol sequence read as tuple
+    slices, or (None, (gram, position)) for its first gram outside s."""
+    index = {g: i for i, g in enumerate(s.grams)}
+    counts = [0] * len(s.grams)
+    for pos in range(len(symbols) - s.ell + 1):
+        gram = tuple(symbols[pos : pos + s.ell])
+        if gram not in index:
+            return None, (gram, pos)
+        counts[index[gram]] += 1
+    return tuple(counts), None
+
+
 def verify_min_distance(codebook):
     """Minimum pairwise asymmetric distance by exhaustive scan.
 

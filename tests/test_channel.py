@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gramcode import channel
@@ -48,6 +50,20 @@ def test_inject_empty_trace_is_identity():
     x = word("0110100", 2)
     empty = ChannelTrace(None, (), (), ())
     assert inject(x, 2, empty).counts == full_profile(x, 2)
+
+
+def test_observation_at_ell_10_lists_no_cube():
+    # 4^10 grams: the observation is one count list, not the cube's grams
+    x = parse_dna("ATGCATGCAATTGGCCATGCA")
+    tracemalloc.start()
+    try:
+        for seed in range(3):
+            observed, _ = transmit(x, 10, ChannelBudget(1, 2, 2), seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(observed) == 4**10 and observed.total == 10
+    assert peak < 40 * 10**6
 
 
 def test_inject_validation():

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from gramcode import graphs
 from gramcode.cli import main
 from gramcode.codec import parse_codebook_file
-from gramcode.grams import build_weight_set, full_gram_set
+from gramcode.grams import build_weight_set, gram_values
 from oracles import verify_min_distance
 
 
@@ -224,6 +225,21 @@ def test_module_entry_point_reports_bad_file(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("graph-info", "--set", "full", "4", "12"),
+    ("rank-encode", "--q", "7", "--ell", "13", "--n", "7", "--perm", "1,0"),
+    ("enumerate", "--set", "full", "5", "9", "--n", "3"),
+    ("graph-info", "--set", "weight", "4", "11", "2", "1", "3"),
+])
+def test_huge_cube_fails_fast(argv, capsys):
+    start = time.perf_counter()
+    status, _ = run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and err.count("\n") == 1 and "cube guard" in err
+
+
 def test_computation_error_exit_code(tmp_path, monkeypatch, capsys):
     code_path = tmp_path / "code.txt"
     run_cli("code-build", "--length", "3", "--d", "2", "--p", "5", "--out", str(code_path))
@@ -326,7 +342,7 @@ def test_weight_set_codebook_header_and_decode(tmp_path):
 
     cube = [0] * 16
     for g, c in zip(build_weight_set(2, 4, 1, 2, 3).grams, first.split()):
-        cube[full_gram_set(2, 4).index[g]] = int(c)
+        cube[gram_values(g, 2, 4)[0]] = int(c)
     profile_path = tmp_path / "observed.txt"
     for text, expected in (
         (f"2 4 weight 1 2 3 30\n{first}\n", 0),

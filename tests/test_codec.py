@@ -24,6 +24,7 @@ from gramcode.codec import (
 from gramcode.grams import (
     build_weight_set,
     full_gram_set,
+    gram_values,
     profile,
     word,
     word_text,
@@ -234,7 +235,7 @@ def test_decode_profile_projects_foreign_mass():
     target = book.codewords[0]
     observed = [0] * 8
     for i, gram in enumerate(sw.grams):
-        observed[full_gram_set(2, 3).index[gram]] = target[i]
+        observed[gram_values(gram, 2, 3)[0]] = target[i]
     observed[0] = 2  # mass on a gram outside the set
     result = decode_profile(book, observed)
     assert result.foreign_mass == 2

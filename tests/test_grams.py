@@ -6,12 +6,14 @@ from gramcode import grams
 from gramcode.codec import project_observed
 from gramcode.grams import (
     ChannelBudget,
+    CubeTooLarge,
     OutOfSetGramError,
     asym_distance,
     build_weight_set,
     dna_string,
     explicit_gram_set,
     full_gram_set,
+    gram_values,
     parse_dna,
     profile,
     q_weight,
@@ -20,39 +22,59 @@ from gramcode.grams import (
 )
 
 
+def rank(s, gram):
+    return s.positions(gram_values(gram, s.q, s.ell))[0]
+
+
 def test_lex_index_examples():
     # a gram's position in the full cube is its base-q value
-    assert full_gram_set(2, 2).index[(0, 0)] == 0
-    assert full_gram_set(2, 2).index[(1, 1)] == 3
-    assert full_gram_set(2, 4).index[(0, 1, 0, 1)] == 5
-    assert full_gram_set(3, 3).index[(2, 0, 1)] == 19
-    assert full_gram_set(2, 1).index[(1,)] == 1  # the channel's cube at l = 1
+    assert rank(full_gram_set(2, 2), (0, 0)) == 0
+    assert rank(full_gram_set(2, 2), (1, 1)) == 3
+    assert rank(full_gram_set(2, 4), (0, 1, 0, 1)) == 5
+    assert rank(full_gram_set(3, 3), (2, 0, 1)) == 19
+    assert rank(full_gram_set(2, 1), (1,)) == 1  # the channel's cube at l = 1
 
 
 def test_lex_index_matches_sorted_order():
     s = full_gram_set(2, 4)
-    assert sorted(s.index, key=s.index.get) == sorted(s.index)
-    assert len(s.index) == 16
+    assert [rank(s, g) for g in sorted(s.grams)] == list(range(16))
+    assert list(s.values) == list(range(16))
     w = build_weight_set(2, 4, 1, 2, 3)
-    assert [w.index[g] for g in sorted(w.grams)] == list(range(len(w)))
+    assert [rank(w, g) for g in sorted(w.grams)] == list(range(len(w)))
+    assert list(w.values) == sorted(w.values) == [gram_values(g, 2, 4)[0] for g in w.grams]
+    assert w.positions([0, 15, 3]) == [None, None, 0]  # 0000 and 1111 lie outside
 
 
 @pytest.mark.parametrize("q,ell", [(2, 5), (3, 4), (4, 5), (4, 3)])
 def test_gram_at_is_inverse_of_lex_index(q, ell):
     s = full_gram_set(q, ell)
     for i in range(q**ell):
-        assert s.index[s.grams[i]] == i
+        assert rank(s, s.grams[i]) == i
         assert int("".join(map(str, s.grams[i])), q) == i
 
 
 def test_lex_index_rejects_bad_symbols():
     s = full_gram_set(2, 2)
-    assert (0, 2) not in s.index and (0, 2) not in s
-    assert (0, 1, 0) not in s.index and (0, 1, 0) not in s
+    assert s.positions([-1, 4, 3]) == [None, None, 3]
+    assert (0, 2) not in s and (2, 0) not in s and (-1, 1) not in s
+    assert (0, 1, 0) not in s and (0,) not in s
+    w = build_weight_set(2, 4, 1, 2, 3)
+    assert (0, 0, 1, 2) not in w and (0, 0, 1) not in w and (0, 0, 1, 1) in w
 
 
 def test_full_gram_set_is_built_once():
     assert full_gram_set(3, 2) is full_gram_set(3, 2)
+
+
+def test_cube_guard_refuses_before_listing(monkeypatch):
+    with pytest.raises(CubeTooLarge):
+        full_gram_set(2, 21)
+    with pytest.raises(CubeTooLarge):
+        build_weight_set(4, 10**9, 2, 1, 3)
+    monkeypatch.setattr(grams, "MAX_CUBE", 16)
+    assert len(build_weight_set(2, 4, 1, 0, 4)) == 16  # q**ell at the guard still builds
+    with pytest.raises(CubeTooLarge):
+        build_weight_set(2, 5, 1, 2, 3)
 
 
 def test_q_weight():

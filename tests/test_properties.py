@@ -13,9 +13,16 @@ from hypothesis import strategies as st
 
 from gramcode.aecc import build_code, decode_bounded
 from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
-from gramcode.codec import euler_word, message_bound, systematic_encode, systematic_layout
+from gramcode.codec import (
+    euler_word,
+    message_bound,
+    project_observed,
+    systematic_encode,
+    systematic_layout,
+)
 from gramcode.grams import (
     ChannelBudget,
+    OutOfSetGramError,
     Word,
     asym_distance,
     build_weight_set,
@@ -36,22 +43,25 @@ from gramcode.lattice import (
     enumerate_points,
 )
 from oracles import (
+    cube_index,
     decode_outcome,
     exhaustive_decode,
     flow_points,
     growth_exponent_by_paths,
+    slice_profile,
     word_profiles,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+CHANNEL_SIZES = SIZES + [(2, 1), (3, 1), (4, 1), (4, 3)]  # the channel takes l = 1
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
 @st.composite
-def words(draw):
-    """(word, ell) with q, ell from SIZES and ell <= len(word) <= ell + 20."""
-    q, ell = draw(st.sampled_from(SIZES))
+def words(draw, sizes=SIZES):
+    """(word, ell) with q, ell from sizes and ell <= len(word) <= ell + 20."""
+    q, ell = draw(st.sampled_from(sizes))
     n = draw(st.integers(ell, ell + 20))
     symbols = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     return Word(tuple(symbols), q), ell
@@ -63,6 +73,67 @@ def gram_sets(draw):
     q, ell = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
     picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=30))
     return explicit_gram_set(q, ell, [full_gram_set(q, ell).grams[i] for i in picks])
+
+
+@st.composite
+def rank_sets(draw):
+    """A full, weight or explicit gram set with q <= 4 and q**ell <= 64."""
+    q, ell = draw(st.sampled_from(
+        [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
+    ))
+    kind = draw(st.sampled_from(["full", "weight", "explicit"]))
+    if kind == "full":
+        return full_gram_set(q, ell)
+    if kind == "weight":
+        w1 = draw(st.integers(0, ell))
+        return build_weight_set(q, ell, draw(st.integers(1, q - 1)), w1, draw(st.integers(w1, ell)))
+    picks = draw(st.sets(st.integers(0, q**ell - 1), min_size=1, max_size=q**ell))
+    return explicit_gram_set(q, ell, [full_gram_set(q, ell).grams[i] for i in picks])
+
+
+def _walk(data, s):
+    """A word that starts on a gram of s and mostly steps to grams of s;
+    the other steps take any symbol, over q or q + 1 letters."""
+    xq = data.draw(st.sampled_from([s.q, s.q, s.q + 1]))
+    inside = set(s.grams)
+    symbols = list(data.draw(st.sampled_from(s.grams)))
+    for _ in range(data.draw(st.integers(0, 14))):
+        tail = tuple(symbols[len(symbols) - s.ell + 1 :])
+        steps = [c for c in range(s.q) if tail + (c,) in inside]
+        if steps and data.draw(st.integers(0, 5)):
+            symbols.append(data.draw(st.sampled_from(steps)))
+        else:
+            symbols.append(data.draw(st.integers(0, xq - 1)))
+    return Word(tuple(symbols), xq)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(rank_sets(), st.data())
+def test_profile_matches_the_slice_scan(s, data):
+    x = _walk(data, s)
+    counts, outside = slice_profile(x.symbols, s)
+    if outside is None:
+        assert profile(x, s).counts == counts
+    else:
+        with pytest.raises(OutOfSetGramError) as err:
+            profile(x, s)
+        assert (err.value.gram, err.value.position) == outside
+    # membership refuses bad symbols and wrong lengths
+    gram = data.draw(st.one_of(
+        st.sampled_from(s.grams),
+        st.lists(st.integers(-1, s.q), min_size=s.ell - 1, max_size=s.ell + 1).map(tuple),
+    ))
+    assert (gram in s) == (gram in set(s.grams))
+
+
+@PROPERTY
+@given(rank_sets(), st.data())
+def test_project_observed_matches_the_cube_scan(s, data):
+    size = s.q**s.ell
+    observed = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    cube = cube_index(s.q, s.ell)
+    projected = tuple(observed[cube[g]] for g in s.grams)
+    assert project_observed(observed, s) == (projected, sum(observed) - sum(projected))
 
 
 @settings(PROPERTY, max_examples=300)
@@ -106,7 +177,7 @@ def test_profile_outflow_marks_the_word_ends(case):
 
 
 @PROPERTY
-@given(words(), st.integers(0, 2**64 - 1), st.data())
+@given(words(CHANNEL_SIZES), st.integers(0, 2**64 - 1), st.data())
 def test_inject_replays_transmit(case, seed, data):
     x, ell = case
     n_grams = len(x) - ell + 1
@@ -116,6 +187,7 @@ def test_inject_replays_transmit(case, seed, data):
     )
     at_most = data.draw(st.booleans())
     observed, trace = transmit(x, ell, budget, seed, at_most=at_most)
+    assert inject(x, ell, trace) == observed
     assert inject(x, ell, trace_from_json(trace_to_json(trace))) == observed
     assert trace.seed == seed
     if not at_most:
@@ -131,7 +203,13 @@ def test_inject_replays_transmit(case, seed, data):
     ]
     for idx, gram in trace.gram_subs:
         assert sum(a != b for a, b in zip(survivors[idx], gram)) == 1
-    assert sum(observed.counts) == len(survivors)
+        survivors[idx] = gram
+    # the observation counts the survivors over the cube, read as slices
+    cube = cube_index(x.q, ell)
+    expected = [0] * len(cube)
+    for gram in survivors:
+        expected[cube[gram]] += 1
+    assert observed.counts == tuple(expected)
 
 
 @PROPERTY
