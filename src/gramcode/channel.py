@@ -3,8 +3,8 @@
 A transmission applies, in order: exactly s_syn symbol substitutions at
 distinct positions of the word, loss of t of its gram occurrences, and
 a single-symbol substitution inside s_seq of the surviving occurrences.
-The observation is the resulting count vector over the full gram cube,
-counted by each occurrence's base-q value without listing the cube.
+The observation counts each occurrence's base-q value over the full gram
+cube (refused above grams.MAX_CUBE grams) without listing the cube.
 Every random draw comes from a splitmix64 stream seeded explicitly, so
 traces replay bit-exactly anywhere.  `inject` applies a trace verbatim;
 `transmit` draws one and applies it through the same helpers, building
@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 from .grams import (
-    ChannelBudget, GramSet, ProfileVector, Word, full_gram_set, gram_values,
+    ChannelBudget, GramSet, ProfileVector, Word, check_cube, full_gram_set, gram_values,
 )
 from .graphs import SearchBudgetExceeded, build_graph, eulerian_walk
 
@@ -137,6 +137,7 @@ def inject(x: Word, ell: int, trace: ChannelTrace) -> ProfileVector:
     n = len(x)
     if not 1 <= ell <= n:
         raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
+    check_cube(x.q, ell)
     survivors = _survivors(x, ell, trace.synthesis, trace.dropped)
     return _observe(survivors, trace.gram_subs, x.q, ell)
 
@@ -158,6 +159,7 @@ def transmit(
     n = len(x)
     if not 1 <= ell <= n:
         raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
+    check_cube(x.q, ell)
     rng = Splitmix64(seed)
     s_syn, t, s_seq = budget.s_syn, budget.t, budget.s_seq
     if at_most:

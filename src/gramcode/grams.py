@@ -175,11 +175,16 @@ class GramSet:
         return "".join(map(str, self.grams[i]))
 
 
-def _cube(q: int, ell: int):
-    """All of [q]^ell in lexicographic order, refused above MAX_CUBE grams."""
+def check_cube(q: int, ell: int):
+    """Refuse the cube [q]^ell above MAX_CUBE grams, before anything sized by it is built."""
     # q >= 2 puts q**ell above MAX_CUBE once ell reaches its bit length
     if q ** min(ell, MAX_CUBE.bit_length()) > MAX_CUBE:
         raise CubeTooLarge(f"{q}**{ell} grams exceed the cube guard of {MAX_CUBE}")
+
+
+def _cube(q: int, ell: int):
+    """All of [q]^ell in lexicographic order, refused above MAX_CUBE grams."""
+    check_cube(q, ell)
     return product(range(q), repeat=ell)
 
 

@@ -30,11 +30,11 @@ count skips the points of the innermost free dimension, while an
 enumeration still visits every point.
 
 Counting has a second engine beside the DFS.  It walks the same plan
-level by level and merges partial flows whose states agree: the
-remaining total, the missing balances of the nodes still open and,
-until the pinned level, what the pin has accumulated.  Its work grows
-with the number of distinct states, the DFS's with the number of
-prefixes at the fold level.  _plan picks the engine for each count.
+up to the fold level, merging partial flows whose states agree (the
+remaining total and the open nodes' missing balances), and counts each
+merged state there in closed form, as the DFS counts a prefix.  Its
+work grows with the number of distinct states, the DFS's with the
+number of prefixes at the fold level.  _plan picks the engine.
 
 Counts at dilations M = lam * t are interpolated into exact-rational
 polynomials in t, recovering leading coefficients of the underlying
@@ -116,25 +116,29 @@ def _plan(system: FlowSystem) -> _Plan:
     The same pass picks the counting engine.  A node is *open* once a
     non-loop arc has touched it and until it is closed (done on both
     sides); its missing balance is the only one a partial flow can vary.
-    A frontier state after a level holds rem, the open nodes' missing
-    balances (their sum is fixed, so one fewer) and, from the first
-    level the pin depends on until the pin is placed, its accumulator.
-    The DFS searches one dimension per decision level, less the pinned
-    one.  The frontier count is chosen when the widest level boundary
-    is narrower than that (full 3 2: 3 against 6), and never for a
-    system with a block; the DFS counts every other system (full 2 3:
-    4 against 4; weight 2 4 1 2 3: 6 against 3) and every enumeration.
+    A frontier state after a level holds rem and the open nodes' missing
+    balances (their sum is fixed, so one fewer).  The frontier stops at
+    the fold level, so it holds no pin; the width still counts one slot
+    from the first level the pin depends on up to the pinned level,
+    which keeps the engine choice the width was tuned with.  The DFS
+    searches one dimension per decision level, less the pinned one.
+    The frontier count is chosen when the widest level boundary is
+    narrower than that (full 3 2: 3 against 6), and never for a system
+    with a block; the DFS counts every other system (full 2 3: 4
+    against 4; weight 2 4 1 2 3: 6 against 3) and every enumeration.
     The frontier at a level holds at most as many states as the DFS has
     prefixes there, so a system whose frontier outgrows memory is one
     the DFS could not finish either.
 
-    The pass also finds the *fold* level for the DFS count: the last
-    decision before the pinned one, or the last decision when none is
-    pinned.  count_points has _fold_tail compile the levels from it on
-    into rows once, so its scan stops there and _fold_count counts each
-    prefix's points in closed form.  A system with a block, or with no
-    decision besides the pinned one, has no fold level and its count
-    scans every point.
+    The pass also finds the *fold* level for both counting engines: the
+    last decision before the pinned one, or the last decision when none
+    is pinned.  count_points has _fold_tail compile the levels from it
+    on into rows once, so the engine stops there and _fold_count counts
+    the points of each prefix or merged state in closed form.  A system
+    with a block, or with no decision besides the pinned one, has no
+    fold level and its count scans every point.  A narrow plan always
+    has one, since narrow needs a block-free plan with at least two
+    search dimensions.
 
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
@@ -429,7 +433,8 @@ def _scan(plan: _Plan, fold=None):
     fold level: each prefix that enters it yields its number of points,
     from _fold_count, and the levels after it are not scanned.
     """
-    levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
+    levels, total, targets, pinned = plan.levels, plan.total, plan.targets, plan.pinned
+    pin_weight, pin_terms, pin_const = plan.pin_weight, plan.pin_terms, plan.pin_const
     block, pivots = plan.block, plan.pivots
     p = block and block.p
     miss = list(targets)
@@ -528,31 +533,26 @@ def _scan(plan: _Plan, fold=None):
             step = None
 
 
-def _count_frontier(plan: _Plan) -> int:
+def _count_frontier(plan: _Plan, fold) -> int:
     """Count the points level by level, merging equal partial flows.
 
-    Walks _plan's levels in order and applies _scan's rules to every
-    state at once: the done-side bounds, lo = rem at the last level,
-    the npos + c > rem cut and the pinned value.  A state is (rem, the
-    pin accumulator, the open nodes' missing balances): the rules at
-    every later level read nothing else, so prefixes with equal states
-    have equally many completions and are kept once, with their
-    multiplicity.  The accumulator is the sum of w * value over the
-    pin_terms seen so far, reset to 0 once the pin is placed.  A state
-    lists the open nodes in the order they were first touched: states
-    merge only within a level, so any fixed order per level serves.
-    plan is _plan of a system without a block (the plan's shifted block
-    is None); the DFS serves those.
+    Walks _plan's levels up to its fold level and applies _scan's rules
+    to every state at once: the done-side bounds and the npos + c > rem
+    cut.  A state is rem and the open nodes' missing balances, listed
+    in the order the nodes were first touched (states merge only within
+    a level).  The later levels and fold's rows read nothing else, so
+    equal states are kept once, with their multiplicity.  _fold_count
+    counts each state that enters the fold level, as the DFS counts a
+    prefix there.  fold's rows read only open or untouched nodes, so
+    the balances it reads are the plan's targets with the state's
+    written over them.  plan is narrow (see _plan: it has a fold level
+    and no block), and fold is its _fold_tail.
     """
-    levels, total, targets, pinned, pin_weight, pin_terms, pin_const = plan[:7]
-    if total < 0:
-        return 0
-    weights = dict(pin_terms) if pinned >= 0 else {}
-    last = len(levels) - 1
+    total, targets = plan.total, plan.targets
     idle = sum(t for t in targets if t > 0)  # untouched nodes' positive balance
     before = []
-    states = {(total, 0): 1}
-    for i, (a, b, a_in, a_out, b_in, b_out) in enumerate(levels):
+    states = {(total,): 1} if total >= 0 else {}  # a negative total has no points
+    for a, b, a_in, a_out, b_in, b_out in plan.levels[: plan.fold]:
         # slots: the open nodes before this level, then the nodes this arc
         # touches first; miss adds a spare 0, where a loop's +c and -c cancel
         slots = before + [v for v in (a, b) if a != b and v not in before]
@@ -562,11 +562,9 @@ def _count_frontier(plan: _Plan) -> int:
         # the open nodes after this level: the slots less the ends it closes
         closed = {v for v, v_in, v_out in ((a, a_in, a_out), (b, b_in, b_out)) if v_in and v_out}
         pick = [j for j, v in enumerate(slots) if v not in closed]
-        w = weights.get(i, 0)
         nxt = {}
-        for key, mult in states.items():
-            rem, acc = key[0], key[1]
-            miss = [*key[2:], *fresh, 0]
+        for (rem, *balances), mult in states.items():
+            miss = [*balances, *fresh, 0]
             lo, hi = 0, rem
             if a_in:
                 hi = min(hi, -miss[pa])
@@ -576,15 +574,6 @@ def _count_frontier(plan: _Plan) -> int:
                 lo = max(lo, miss[pb])
             if b_out:
                 hi = min(hi, miss[pb])
-            if i == last:
-                lo = max(lo, rem)
-            if i == pinned:
-                value, leftover = divmod(rem - pin_const - acc, pin_weight)
-                if leftover:
-                    continue
-                lo = max(lo, value)
-                hi = min(hi, value)
-                acc = 0
             if lo > hi:
                 continue
             ma, mb = miss[pa], miss[pb]
@@ -596,33 +585,36 @@ def _count_frontier(plan: _Plan) -> int:
                 ma, mb = miss[pa], miss[pb]
                 if rest + (ma if ma > 0 else 0) + (mb if mb > 0 else 0) + c > rem:
                     break
-                state = (rem - c, acc + w * c, *[miss[j] for j in pick])
+                state = (rem - c, *[miss[j] for j in pick])
                 nxt[state] = nxt.get(state, 0) + mult
                 miss[pa] += 1
                 miss[pb] -= 1
         states = nxt
         before = [slots[j] for j in pick]
-    # every point has used the total, placed the pin and closed its nodes
-    count = states.pop((0, 0), 0)
-    if states:
-        raise AssertionError("a flow ended with total, pin or balance left over")
+    count = 0
+    miss = list(targets)
+    for (rem, *balances), mult in states.items():
+        for v, m in zip(before, balances):
+            miss[v] = m
+        count += mult * _fold_count(fold, rem, miss)
     return count
 
 
 def count_points(system: FlowSystem) -> int:
     """Number of integer points of the system, exactly.
 
-    The plan is built once and picks the engine (see _plan): merged
-    frontier states (_count_frontier) or the DFS (_scan), which stops at
-    the plan's fold level and counts the last free dimension in closed
-    form (_fold_count) whenever the plan has one.
+    The plan (see _plan) is built once.  Without a fold level the DFS
+    (_scan) visits every point; otherwise _fold_tail compiles the tail
+    once for the engine the plan picks, merged frontier states
+    (_count_frontier) or the DFS, which stops at the fold level.
     """
     plan = _plan(system)
+    if plan.fold < 0:
+        return sum(1 for _ in _scan(plan))
+    fold = _fold_tail(plan)
     if plan.narrow:
-        return _count_frontier(plan)
-    if plan.fold >= 0:
-        return sum(_scan(plan, _fold_tail(plan)))
-    return sum(1 for _ in _scan(plan))
+        return _count_frontier(plan, fold)
+    return sum(_scan(plan, fold))
 
 
 def enumerate_points(system: FlowSystem):

@@ -16,7 +16,7 @@ from gramcode.channel import (
     trace_to_json,
     transmit,
 )
-from gramcode.grams import ChannelBudget, full_gram_set, parse_dna, profile, word
+from gramcode.grams import ChannelBudget, CubeTooLarge, full_gram_set, parse_dna, profile, word
 from gramcode.graphs import SearchBudgetExceeded, build_graph
 from oracles import brute_force_support_count
 
@@ -64,6 +64,15 @@ def test_observation_at_ell_10_lists_no_cube():
         tracemalloc.stop()
     assert len(observed) == 4**10 and observed.total == 10
     assert peak < 40 * 10**6
+
+
+def test_observation_past_the_cube_guard_is_refused():
+    # 4^11 grams exceed the cube guard of 2^20, which no gram set can pass either
+    x = parse_dna("ATGCATGCAATTGGCCATGCA")
+    with pytest.raises(CubeTooLarge):
+        transmit(x, 11, ChannelBudget(0, 0, 0), 1)
+    with pytest.raises(CubeTooLarge):
+        inject(x, 11, ChannelTrace(None, (), (), ()))
 
 
 def test_inject_validation():

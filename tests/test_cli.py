@@ -230,6 +230,7 @@ def test_module_entry_point_reports_bad_file(tmp_path):
     ("rank-encode", "--q", "7", "--ell", "13", "--n", "7", "--perm", "1,0"),
     ("enumerate", "--set", "full", "5", "9", "--n", "3"),
     ("graph-info", "--set", "weight", "4", "11", "2", "1", "3"),
+    ("simulate", "--word", "ATGCATGCAATTGGCCATGCAATGC", "--q", "4", "--ell", "14", "--seed", "1"),
 ])
 def test_huge_cube_fails_fast(argv, capsys):
     start = time.perf_counter()
