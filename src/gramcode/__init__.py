@@ -28,6 +28,7 @@ from .graphs import (
     build_graph,
     cycle_length_lcm,
     eulerian_walk,
+    flow_dimension,
     growth_exponent,
     hamiltonian_cycle,
     is_eulerian,

@@ -176,7 +176,7 @@ def cmd_fit(args):
         emit(f"coeff t^{k}", c)
     emit("leading", poly.leading)
     emit("leading-in-n", poly.leading_in_n)
-    emit("verified-at", poly.degree + 2)
+    emit("verified-at", poly.verified_at)
     return 0
 
 

@@ -4,9 +4,10 @@ The graph D(S) has the (l-1)-grams occurring in S as nodes and the
 grams of S as arcs (a gram is an arc from its prefix to its suffix).
 Everything here is exact integer combinatorics: connectivity, degree
 balance, Eulerian walks with a fixed deterministic tie-break, simple
-cycle lengths and their lcm, Hamiltonian cycles, and the growth
-exponent of profile counts read off the condensation, whose components
-Tarjan's search closes in reverse topological order.
+cycle lengths and their lcm, Hamiltonian cycles, and two readings of
+the condensation, whose components Tarjan's search closes in reverse
+topological order: the growth exponent of profile counts, and the
+dimension of the flow polytope when every arc lies on a cycle.
 """
 
 from __future__ import annotations
@@ -276,6 +277,16 @@ def cycle_length_lcm(graph: DeBruijnGraph):
     return math.lcm(*lengths), sorted(lengths)
 
 
+def _components(graph: DeBruijnGraph):
+    """Tarjan's components in closing order, and each node's position there."""
+    comps = _tarjan(graph)
+    comp_of = [0] * graph.n_nodes
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    return comps, comp_of
+
+
 def growth_exponent(graph: DeBruijnGraph):
     """(Delta, Delta_bar) read off the condensation of D(S).
 
@@ -287,11 +298,7 @@ def growth_exponent(graph: DeBruijnGraph):
     one pass gives the heaviest path from C as delta_C plus
     max(0, 1 + the heaviest path from each successor).
     """
-    comps = _tarjan(graph)
-    comp_of = [0] * graph.n_nodes
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    comps, comp_of = _components(graph)
     deltas = []
     heaviest = []
     for i, comp in enumerate(comps):
@@ -307,3 +314,21 @@ def growth_exponent(graph: DeBruijnGraph):
         deltas.append(delta)
         heaviest.append(delta + tail)
     return max(heaviest), max(deltas)
+
+
+def flow_dimension(graph: DeBruijnGraph):
+    """Dimension D of the flow polytope of D(S), or None if an arc is on no cycle.
+
+    The polytope is {u >= 0 on the arcs : inflow = outflow at every
+    node, sum u = 1}.  When every arc's two ends share a component, every
+    arc lies on a cycle and the sum of those cycles is a positive flow,
+    so the relative interior is {u > 0}, and the affine hull, cut by the
+    |V| - (components) independent balance rows and the sum, has
+    dimension |E| - |V| + (components) - 1.  An arc between components
+    carries no flow in any point, and None is returned.
+    """
+    comps, comp_of = _components(graph)
+    for u, v in zip(graph.arc_init, graph.arc_term):
+        if comp_of[u] != comp_of[v]:
+            return None
+    return graph.n_arcs - graph.n_nodes + len(comps) - 1

@@ -36,9 +36,16 @@ merged state there in closed form, as the DFS counts a prefix.  Its
 work grows with the number of distinct states, the DFS's with the
 number of prefixes at the fold level.  _plan picks the engine.
 
-Counts at dilations M = lam * t are interpolated into exact-rational
-polynomials in t, recovering leading coefficients of the underlying
-quasipolynomials, with a held-out sample verifying every fit.
+Counts at dilations M = lam * t + r are interpolated into
+exact-rational polynomials in t, recovering leading coefficients of
+the underlying quasipolynomials, with a held-out count verifying every
+fit.  The fit reads Ehrhart theory to keep its samples at the smallest
+dilations.  When every arc lies on a cycle, the relative interior of
+the flow polytope P (dimension D) is {u > 0}, so mode E counts the
+interior of M*P; then i(P, 0) = 1 and Ehrhart-Macdonald reciprocity,
+L_{P interior}(M) = (-1)^D L_P(-M), give the polynomial at t <= 0 as
+(-1)^D times the other mode's count at the total -M.  Otherwise the fit
+samples t = 1, 2, ... in its own mode.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from math import gcd
 
 from .aecc import CongruenceBlock
 from .grams import GramSet
-from .graphs import DeBruijnGraph, build_graph, net_outflow
+from .graphs import DeBruijnGraph, build_graph, flow_dimension, net_outflow
 
 BRUTE_FORCE_GUARD = 10**8
 
@@ -670,7 +677,8 @@ class QuasiPolynomial:
     coeffs are ascending-degree Fractions in the dilation variable t,
     where the counted total is M = period * t + residue.  leading_in_n
     rescales the leading coefficient to the natural M (word length)
-    variable: lead / period**degree.
+    variable: lead / period**degree.  verified_at is the t of the
+    held-out count that confirmed the fit.
     """
 
     degree: int
@@ -678,6 +686,7 @@ class QuasiPolynomial:
     residue: int
     mode: str
     coeffs: tuple[Fraction, ...]
+    verified_at: int
 
     def evaluate(self, t: int) -> Fraction:
         acc = Fraction(0)
@@ -724,24 +733,47 @@ def fit_quasipolynomial(
 ) -> QuasiPolynomial:
     """Fit the count polynomial of one dilation class, with a held-out check.
 
-    Counts the points at M = lam*t + residue for t = 1..degree+1, runs
-    exact Lagrange interpolation, then recounts at t = degree+2 and
-    compares; a mismatch means the assumed degree or period is wrong
-    and raises FitMismatch.  The degree must be nonnegative, lam
-    positive and the residue in [0, lam).
+    p(t) is the count at M = lam*t + residue in the given mode.  The fit
+    interpolates p exactly at degree+1 integers t, then counts at the
+    next t and compares; a mismatch means the assumed degree or period
+    is wrong and raises FitMismatch.  The degree must be nonnegative,
+    lam positive and the residue in [0, lam).
+
+    When graphs.flow_dimension gives the polytope's dimension D (every
+    arc on a cycle), the samples are t = -(degree//2) .. ceil(degree/2).
+    By Ehrhart's theorem a mode F count is a value of the quasipolynomial
+    from M = 0 on (1 at M = 0), a mode E count from M = 1 on; below that,
+    reciprocity gives p(t) = (-1)^D times the other mode's count at -M
+    (at least 1 when t < 0, since residue < lam).  D is the graph's, not
+    the caller's degree, so a degree too high still fits exactly and one
+    too low fails the check.  Otherwise {u > 0} misses P, mode E counts
+    no interior, and the samples are t = 1..degree+1 in the given mode.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
     if not 0 <= residue < lam:
         raise ValueError(f"need 0 <= residue < lambda, got residue {residue} and lambda {lam}")
     graph = build_graph(s)
-    xs = list(range(1, degree + 2))
-    ys = [count_points(FlowSystem(graph, lam * t + residue, mode)) for t in xs]
-    coeffs = _lagrange(xs, ys)
-    poly = QuasiPolynomial(degree, lam, residue, mode, coeffs)
-    t_check = degree + 2
+    dim = flow_dimension(graph)
+    if dim is None:
+        xs = range(1, degree + 2)
+    else:
+        xs = range(-(degree // 2), (degree + 1) // 2 + 1)
+    lowest = 1 if mode == "E" else 0
+    other = "F" if mode == "E" else "E"
+
+    def sample(t):
+        m = lam * t + residue
+        if m >= lowest:
+            return count_points(FlowSystem(graph, m, mode))
+        return (-1) ** dim * count_points(FlowSystem(graph, -m, other))
+
+    t_check = xs[-1] + 1
+    poly = QuasiPolynomial(
+        degree, lam, residue, mode, _lagrange(xs, [sample(t) for t in xs]), t_check
+    )
     predicted = poly.evaluate(t_check)
-    actual = count_points(FlowSystem(graph, lam * t_check + residue, mode))
+    actual = sample(t_check)
     if predicted != actual:
         raise FitMismatch(
             f"held-out count at t={t_check} is {actual}, fit predicts {predicted}"

@@ -3,8 +3,9 @@
 from itertools import product
 
 from gramcode.aecc import AmbiguousDecode, DecodeFailure
-from gramcode.grams import asym_distance
-from gramcode.graphs import net_outflow, strongly_connected_components
+from gramcode.grams import asym_distance, explicit_gram_set
+from gramcode.graphs import build_graph, net_outflow, strongly_connected_components
+from gramcode.lattice import FitMismatch, FlowSystem, QuasiPolynomial, _lagrange, count_points
 
 
 def brute_force_support_count(n: int, ell: int) -> int:
@@ -123,6 +124,55 @@ def flow_points(graph, m_total, mode):
         return []
     points = (tuple(c + base for c in comp) for comp in _compositions(extra, graph.n_arcs))
     return [u for u in points if not any(net_outflow(graph, u))]
+
+
+def same_mode_fit(s, degree, lam, mode="F", residue=0):
+    """Oracle: the count polynomial fitted from counts in one mode only.
+
+    Interpolates the counts at M = lam*t + residue for t = 1..degree+1
+    and checks the count at t = degree+2, raising FitMismatch on a
+    miss; no reciprocity, no graph dimension.
+    """
+    graph = build_graph(s)
+
+    def count(t):
+        return count_points(FlowSystem(graph, lam * t + residue, mode))
+
+    xs = range(1, degree + 2)
+    poly = QuasiPolynomial(
+        degree, lam, residue, mode, _lagrange(xs, [count(t) for t in xs]), degree + 2
+    )
+    if poly.evaluate(degree + 2) != count(degree + 2):
+        raise FitMismatch(f"held-out count at t={degree + 2} misses the fit")
+    return poly
+
+
+def cycle_arcs(s):
+    """The grams of s whose two ends share a strongly connected component,
+    as an explicit set, or None when there are none."""
+    graph = build_graph(s)
+    comp_of = {v: i for i, comp in enumerate(strongly_connected_components(graph)) for v in comp}
+    kept = [
+        g for g, u, v in zip(s.grams, graph.arc_init, graph.arc_term) if comp_of[u] == comp_of[v]
+    ]
+    return explicit_gram_set(s.q, s.ell, kept) if kept else None
+
+
+def flow_dimension_by_rank(s):
+    """Oracle: |E| - rank(incidence) - 1 over the arcs of s that lie on a cycle.
+
+    The dimension of the polytope of nonnegative unit-sum flows; 0 when
+    no arc lies on a cycle (only the zero flow, at M = 0).
+    """
+    cyclic = cycle_arcs(s)
+    if cyclic is None:
+        return 0
+    graph = build_graph(cyclic)
+    rows = [[0] * graph.n_arcs for _ in range(graph.n_nodes)]
+    for a, (u, v) in enumerate(zip(graph.arc_init, graph.arc_term)):
+        rows[u][a] += 1
+        rows[v][a] -= 1
+    return graph.n_arcs - integer_rank(rows) - 1
 
 
 def exhaustive_decode(code, received, max_weight):

@@ -3,10 +3,14 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramcode import graphs
 from gramcode.cli import main
@@ -65,6 +69,8 @@ def test_fit_command():
     )
     assert status == 0
     assert grab(out, "leading-in-n") == "1/4"
+    # samples at t = -1, 0, 1; the held-out count is at t = 2
+    assert grab(out, "verified-at") == "2"
 
 
 def test_repeat_runs_are_byte_identical():
@@ -420,3 +426,83 @@ def test_tables_ii():
         assert grab(out, f"{label} lambda") == f"computed {lam} reference {lam} PASS"
     assert grab(out, "tables-ok") == "true"
     assert "SKIPPED" in out
+
+
+# Stdout of `tables` and of the table rows' fits, recorded before the fit
+# took its samples at t <= 0.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TABLE_FIT_ROWS = (("full 2 2", 2, 2), ("full 2 3", 4, 12), ("full 3 2", 6, 6),
+                  ("weight 2 4 1 2 3", 3, 60))
+
+
+@pytest.mark.parametrize("table", ("I", "II"))
+def test_tables_output_is_golden(table):
+    status, out = run_cli("tables", "--id", table)
+    assert status == 0
+    assert out == (GOLDEN / f"tables_{table}.txt").read_text()
+
+
+@pytest.mark.parametrize("mode", "FE")
+@pytest.mark.parametrize("row", TABLE_FIT_ROWS)
+def test_fit_output_is_golden_but_for_the_held_out_t(row, mode):
+    tokens, degree, lam = row
+    status, out = run_cli("fit", "--set", *tokens.split(), "--degree", str(degree),
+                          "--lambda", str(lam), "--mode", mode)
+    assert status == 0
+    golden = (GOLDEN / f"fit_{tokens.replace(' ', '_')}_{mode}.txt").read_text()
+
+    def kept(text):
+        return [ln for ln in text.splitlines() if not ln.startswith("verified-at ")]
+
+    assert kept(out) == kept(golden)
+    assert grab(golden, "verified-at") == str(degree + 2)
+    assert grab(out, "verified-at") == str((degree + 1) // 2 + 1)
+
+
+@st.composite
+def fit_argvs(draw, explicit_path):
+    """A `fit` argv over a small full, weight or explicit set (the explicit
+    one written to explicit_path), degree 0..6, lambda 1..12, a residue
+    inside or outside [0, lambda) and either mode."""
+    kind = draw(st.sampled_from(["full", "weight", "explicit"]))
+    ell = draw(st.sampled_from([2, 3, 1]))  # ell = 1 is refused
+    if kind == "full":
+        tokens = ["full", str(draw(st.integers(1, 2))), str(ell)]
+    elif kind == "weight":
+        w1 = draw(st.integers(0, ell))
+        w2 = draw(st.integers(w1 - 1, ell + 1))
+        tokens = ["weight", "2", str(ell), str(draw(st.sampled_from([1, 1, 1, 0, 2]))),
+                  str(w1), str(w2)]
+    else:
+        cube = ["".join(map(str, g)) for g in product(range(2), repeat=ell)]
+        picks = draw(st.lists(st.sampled_from(cube), max_size=len(cube), unique=True))
+        if picks and not draw(st.integers(0, 9)):
+            picks.append(picks[0])  # a duplicate gram is refused
+        explicit_path.write_text(f"2 {ell}\n" + " ".join(picks) + "\n")
+        tokens = ["explicit", str(explicit_path)]
+    lam = draw(st.integers(1, 12))
+    residue = draw(st.integers(0, lam - 1))
+    if draw(st.integers(0, 3)) == 3:
+        residue = draw(st.sampled_from([-residue - 1, residue + lam]))
+    return ["fit", "--set", *tokens, "--degree", str(draw(st.integers(0, 6))),
+            "--lambda", str(lam), f"--residue={residue}",
+            "--mode", draw(st.sampled_from("FE"))]
+
+
+def test_fit_fuzz_exits_cleanly(tmp_path_factory):
+    explicit_path = tmp_path_factory.mktemp("fit-fuzz") / "set.txt"
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=timedelta(seconds=5))
+    @given(fit_argvs(explicit_path))
+    def run(argv):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            status, _ = run_cli(*argv)
+        assert status in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if status:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error ")
+
+    run()

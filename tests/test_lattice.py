@@ -289,6 +289,19 @@ def test_fit_rejects_wrong_degree():
         fit_quasipolynomial(S23, 3, 12)
 
 
+def test_fit_rejects_a_wrong_period():
+    # counts 1, 2, 4 at M = 0, 1, 2: the line through t = 0, 1 misses t = 2
+    with pytest.raises(FitMismatch):
+        fit_quasipolynomial(S22, 1, 1)
+
+
+def test_fit_samples_the_smallest_dilations(table_fits):
+    for f_poly, e_poly in table_fits.values():
+        assert f_poly.verified_at == e_poly.verified_at == (f_poly.degree + 1) // 2 + 1
+    # an arc on no cycle: the fit samples t = 1..degree+1 and checks degree+2
+    assert fit_quasipolynomial(TWO_COMPONENT_SET, 3, 2).verified_at == 5
+
+
 def test_reciprocity(table_fits):
     for f_poly, e_poly in table_fits.values():
         assert reciprocity_check(f_poly, e_poly)

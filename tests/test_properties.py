@@ -5,10 +5,10 @@ run draws the same cases and writes nothing to disk.
 """
 
 from itertools import count
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gramcode.aecc import build_code, decode_bounded
@@ -30,7 +30,13 @@ from gramcode.grams import (
     full_gram_set,
     profile,
 )
-from gramcode.graphs import build_graph, growth_exponent, net_outflow
+from gramcode.graphs import (
+    build_graph,
+    flow_dimension,
+    growth_exponent,
+    net_outflow,
+    simple_cycle_lengths,
+)
 from gramcode.lattice import (
     CongruenceBlock,
     FlowSystem,
@@ -41,13 +47,17 @@ from gramcode.lattice import (
     brute_force_profiles,
     count_points,
     enumerate_points,
+    fit_quasipolynomial,
 )
 from oracles import (
     cube_index,
+    cycle_arcs,
     decode_outcome,
     exhaustive_decode,
+    flow_dimension_by_rank,
     flow_points,
     growth_exponent_by_paths,
+    same_mode_fit,
     slice_profile,
     word_profiles,
 )
@@ -240,6 +250,45 @@ def test_systematic_encode_keeps_flow_and_sum(size, m, data):
 def test_growth_exponent_is_the_heaviest_condensation_path(s):
     graph = build_graph(s)
     assert growth_exponent(graph) == growth_exponent_by_paths(graph)
+
+
+@PROPERTY
+@given(gram_sets())
+def test_flow_dimension_is_the_rank_dimension(s):
+    expected = flow_dimension_by_rank(s) if cycle_arcs(s) == s else None
+    assert flow_dimension(build_graph(s)) == expected
+
+
+@st.composite
+def fit_cases(draw):
+    """(s, degree, lam, residue, mode) for an explicit set with q, ell <= 3.
+
+    Half the draws trim the set to its arcs on cycles, so reciprocity
+    applies; the others keep an arc on no cycle, so the fit falls back.
+    The degree is the true dimension, lam the lcm of the simple cycle
+    lengths (at most 12), the residue and mode random.
+    """
+    q, ell = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    cube = full_gram_set(q, ell).grams
+    s = explicit_gram_set(q, ell, draw(st.sets(st.sampled_from(cube), min_size=1, max_size=8)))
+    cyclic = cycle_arcs(s)
+    if draw(st.booleans()):
+        assume(cyclic is not None)
+        s = cyclic
+    else:
+        assume(cyclic != s)
+    lam = lcm(*simple_cycle_lengths(build_graph(s)))
+    assume(lam <= 12)
+    residue = draw(st.integers(0, lam - 1))
+    return s, flow_dimension_by_rank(s), lam, residue, draw(st.sampled_from("FE"))
+
+
+@PROPERTY
+@given(fit_cases())
+def test_fit_matches_the_same_mode_fit(case):
+    s, degree, lam, residue, mode = case
+    fitted = fit_quasipolynomial(s, degree, lam, mode, residue)
+    assert fitted.coeffs == same_mode_fit(s, degree, lam, mode, residue).coeffs
 
 
 @PROPERTY
