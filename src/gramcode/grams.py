@@ -223,9 +223,9 @@ class ProfileVector:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
-        for c in self.counts:
-            if c < 0:
-                raise ValueError(f"negative count {c}")
+        if min(self.counts, default=0) < 0:
+            first = next(c for c in self.counts if c < 0)
+            raise ValueError(f"negative count {first}")
 
     def __len__(self):
         return len(self.counts)

@@ -20,21 +20,23 @@ earlier decisions; a row that reduces to 0 = c with c != 0 empties the
 system before the scan starts.  Everything is exact: integers and
 Fractions only.
 
-A count by the DFS stops one level early, at the *fold* level: the
-last decision that is not pinned.  Every level after it is forced or
-pinned, so each of its values, and the rules that make the tail a
-point, are affine in the fold level's value c; the c with a point form
-an interval and one residue class (from the pinned value's
-divisibility by its weight), counted in closed form per prefix.  So a
-count skips the points of the innermost free dimension, while an
-enumeration still visits every point.
+A count by the DFS stops two levels early, at the *outer* level: the
+free decision (one that is not pinned) before the last one, the *fold*
+level.  Every level after the outer one but the fold level is forced
+or pinned, so each of its values, and the rules that make the tail a
+point, are affine in the outer value c1 and the fold value c.  For
+each c1 in an interval, the c with a point form an interval and one
+residue class (from the pinned value's divisibility by its weight),
+counted in closed form; so a count skips the points of the two
+innermost free dimensions, while an enumeration still visits every
+point.  A system with one free decision stops at it, the fold level.
 
 Counting has a second engine beside the DFS.  It walks the same plan
-up to the fold level, merging partial flows whose states agree (the
+up to the outer level, merging partial flows whose states agree (the
 remaining total and the open nodes' missing balances), and counts each
-merged state there in closed form, as the DFS counts a prefix.  Its
-work grows with the number of distinct states, the DFS's with the
-number of prefixes at the fold level.  _plan picks the engine.
+merged state there as the DFS counts a prefix.  Its work grows with
+the number of distinct states, the DFS's with the number of prefixes
+at the outer level.  _plan picks the engine.
 
 Counts at dilations M = lam * t + r are interpolated into
 exact-rational polynomials in t, recovering leading coefficients of
@@ -54,7 +56,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from .aecc import CongruenceBlock
 from .grams import GramSet
@@ -97,7 +99,7 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
 # The presolved system that _plan hands to both engines; _plan names the fields.
 _Plan = namedtuple(
     "_Plan",
-    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow fold",
+    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow outer fold",
 )
 
 
@@ -125,7 +127,7 @@ def _plan(system: FlowSystem) -> _Plan:
     sides); its missing balance is the only one a partial flow can vary.
     A frontier state after a level holds rem and the open nodes' missing
     balances (their sum is fixed, so one fewer).  The frontier stops at
-    the fold level, so it holds no pin; the width still counts one slot
+    the outer level, so it holds no pin; the width still counts one slot
     from the first level the pin depends on up to the pinned level,
     which keeps the engine choice the width was tuned with.  The DFS
     searches one dimension per decision level, less the pinned one.
@@ -137,15 +139,17 @@ def _plan(system: FlowSystem) -> _Plan:
     prefixes there, so a system whose frontier outgrows memory is one
     the DFS could not finish either.
 
-    The pass also finds the *fold* level for both counting engines: the
-    last decision before the pinned one, or the last decision when none
-    is pinned.  count_points has _fold_tail compile the levels from it
-    on into rows once, so the engine stops there and _fold_count counts
-    the points of each prefix or merged state in closed form.  A system
-    with a block, or with no decision besides the pinned one, has no
-    fold level and its count scans every point.  A narrow plan always
-    has one, since narrow needs a block-free plan with at least two
-    search dimensions.
+    The pass also finds where both counting engines stop.  The *free*
+    decisions are the decisions less the pinned one; the last is the
+    *fold* level and the one before it the *outer* level, or the fold
+    level again when it is the only free decision.  count_points has
+    _fold_tail compile the levels from the outer one on into rows once,
+    so the engine stops there and _fold_count counts the points of each
+    prefix or merged state.  A system with a block, or with no free
+    decision, has no fold level and its count scans every point.  A
+    narrow plan always has two free decisions, since narrow needs a
+    block-free plan whose search dimensions outnumber a width of at
+    least 1.
 
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
@@ -156,8 +160,8 @@ def _plan(system: FlowSystem) -> _Plan:
     rem - pin_const minus w * (value of level j) for each (j, w) in
     pin_terms, divided by pin_weight.  pivots is the result of
     _block_pivots, or {} without a block.  narrow says whether
-    count_points counts by merged frontier states.  fold is the fold
-    level, or -1.
+    count_points counts by merged frontier states.  outer and fold are
+    the outer and the fold level, both -1 without a fold level.
     """
     graph = system.graph
     arcs = list(zip(graph.arc_init, graph.arc_term))
@@ -181,9 +185,7 @@ def _plan(system: FlowSystem) -> _Plan:
     forms = []
     open_nodes = set()
     widths = []  # the number of open nodes after each level
-    decisions = 0
-    last_dec = len(arcs)
-    prior_dec = -1  # the decision before last_dec
+    decisions = []
     for i, (a, b) in enumerate(arcs):
         done = (False, False, False, False)
         if a != b:
@@ -197,10 +199,7 @@ def _plan(system: FlowSystem) -> _Plan:
         elif b_closed:
             form = dict(miss[b])
         else:
-            if decisions:
-                prior_dec = last_dec
-            decisions += 1
-            last_dec = i
+            decisions.append(i)
             form = {i: 1}
         if a != b:
             for key, c in form.items():
@@ -215,6 +214,7 @@ def _plan(system: FlowSystem) -> _Plan:
         levels.append((a, b) + done)
         forms.append(form)
 
+    last_dec = decisions[-1] if decisions else len(arcs)
     pin = {}
     for form in forms[last_dec:]:
         for key, c in form.items():
@@ -228,66 +228,79 @@ def _plan(system: FlowSystem) -> _Plan:
     width = max(
         max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
     )
-    narrow = not block and width < decisions - (pinned >= 0)
-    free = prior_dec if pinned >= 0 else last_dec if decisions else -1
-    fold = -1 if block else free
+    free = [] if block else decisions[:-1] if pinned >= 0 else decisions
+    narrow = width < len(free)
+    fold = free[-1] if free else -1
+    outer = free[-2] if len(free) > 1 else fold
     return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
-                 shift, block, pivots, narrow, fold)
+                 shift, block, pivots, narrow, outer, fold)
 
 
 def _fold_tail(plan: _Plan):
-    """Compile the plan's levels from its fold level on into rows over the scan's state.
+    """Compile the plan's levels from its outer level on into rows over the scan's state.
 
-    Every level after the fold level is forced or pinned, so once the
-    scan enters the fold level with its remaining total rem and missing
-    balances miss, the value c of that level fixes the rest: each later
-    value is affine in c, rem and miss, the pinned one divided by the pin
-    weight W.  The prefix's points are the c >= 0 whose tail is a point:
-    every later value >= 0, a node closed from one end by a forced arc
-    also balanced at its other end, and the values summing to rem.  The
-    sum solves the pinned value P = N / W, with N affine; rows holding
-    P are multiplied by |W| to keep them integral, and W | N becomes a
-    residue class of c.  Without a pinned level the sum is a row.
+    Every level after the outer one but the fold level is forced or
+    pinned.  Once the scan enters the outer level with its remaining
+    total rem and missing balances miss, the outer value c1 and the fold
+    value c fix the rest: each later value is affine in c1, c, rem and
+    miss, the pinned one divided by the pin weight W.  The prefix's
+    points are the c1, c >= 0 whose tail is a point: every later value
+    >= 0, a node closed from one end by a forced arc also balanced at
+    its other end, and the values summing to rem.  The sum solves the
+    pinned value P = N / W, with N affine; rows holding P are multiplied
+    by |W| to keep them integral, and W | N becomes a residue class of c
+    for each c1.  Without a pinned level the sum is a row.  An equality
+    is two rows, >= 0 and <= 0.  When the fold level is the only free
+    decision it is also the outer level: no value is c1, and the row
+    -c1 >= 0 leaves the one pass c1 = 0.  Each pair of a row that bounds
+    c from below and one that bounds it from above, c >= 0 among the
+    former, adds the combination free of c (Fourier-Motzkin): the c1
+    with an empty real interval of c fail it, so _fold_count's loop over
+    c1 seldom meets an empty one.
 
     Affine forms are {key: coefficient} with the keys v >= 0 for miss[v],
-    -1 for the constant, -2 for rem, -3 for c and -4 for P.  A row is
-    (constant, rem coefficient, ((v, coefficient), ...), c coefficient,
-    equality): its form must be >= 0, or == 0 if equality.  Rows that
-    hold without c come first, so _fold_count can stop before reading c.
+    -1 for the constant, -2 for rem, -3 for c, -4 for P and -5 for c1.
+    A row is (constant, rem coefficient, ((v, coefficient), ...), c1
+    coefficient alpha, c coefficient beta); its form must be >= 0.
 
-    Returns (rows, pin).  pin is None when there is no pinned level or
-    W is 1 or -1.  Otherwise it is (N's constant, rem coefficient and
-    miss terms, g, m, inv) for N's c coefficient B: g = gcd(B, |W|),
-    m = |W| / g, and inv is the inverse of B / g modulo m (0 when m is
-    1).
+    Returns (outer_rows, rows, pin).  outer_rows are the rows without c,
+    those without c1 first, so _fold_count can stop before reading c1;
+    rows are the others.  pin is None when there is no pinned level or W
+    is 1 or -1.  Otherwise it is (N's constant, rem coefficient, miss
+    terms and c1 coefficient, g, m, inv) for N's c coefficient B:
+    g = gcd(B, |W|), m = |W| / g, and inv is the inverse of B / g modulo
+    m (0 when m is 1).
     """
     def add(form, other, f):
         for key, k in other.items():
             form[key] = form.get(key, 0) + f * k
 
-    levels, level, pinned = plan.levels, plan.fold, plan.pinned
+    levels, outer, fold, pinned = plan.levels, plan.outer, plan.fold, plan.pinned
     miss = {}
     total = {}
-    forms = []  # (form, equality)
-    for i in range(level, len(levels)):
+    forms = []  # each must be >= 0
+    for i in range(outer, len(levels)):
         a, b, a_in, a_out, b_in, b_out = levels[i]
         for v in (a, b):
             miss.setdefault(v, {v: 1})
-        if i == level:
+        if i == fold:
             value = {-3: 1}
+        elif i == outer:
+            value = {-5: 1}
         elif i == pinned:
             value = {-4: 1}
         elif a_in and a_out:
             value = {key: -k for key, k in miss[a].items()}
         else:
             value = dict(miss[b])
-        forms.append((value, False))
+        forms.append(value)
         add(total, value, 1)
         if a != b:
             add(miss[a], value, 1)
             add(miss[b], value, -1)
             if a_in and a_out and b_in and b_out:
-                forms.append((dict(miss[b]), True))
+                forms.append(dict(miss[b]))
+                forms.append({key: -k for key, k in miss[b].items()})
     rest = {-2: 1}
     add(rest, total, -1)
     pin = None
@@ -296,7 +309,7 @@ def _fold_tail(plan: _Plan):
         w = -rest.pop(-4)
         sign = 1 if w > 0 else -1
         w *= sign
-        for form, _ in forms:
+        for form in forms:
             k = form.pop(-4, 0)
             if k:
                 for key in form:
@@ -306,67 +319,95 @@ def _fold_tail(plan: _Plan):
             beta = rest.get(-3, 0)
             g = gcd(beta, w)
             m = w // g
-            pin = (*_fold_row(rest)[:3], g, m, pow(beta // g, -1, m) if m > 1 else 0)
+            pin = (*_fold_row(rest)[:4], g, m, pow(beta // g, -1, m) if m > 1 else 0)
     else:
-        forms.append((rest, True))
+        forms.append(rest)
+        forms.append({key: -k for key, k in rest.items()})
+    if outer == fold:
+        forms.append({-5: -1})
+    lows = [form for form in forms if form.get(-3, 0) > 0] + [{-3: 1}]
+    for high in [form for form in forms if form.get(-3, 0) < 0]:
+        for low in lows:
+            shadow = {}
+            add(shadow, low, -high[-3])
+            add(shadow, high, low[-3])
+            forms.append(shadow)
     rows = []
-    for form, equality in forms:
-        row = _fold_row(form, equality)
-        if row not in rows and row != (0, 0, (), 1, False):  # c >= 0 starts the range
+    for form in forms:
+        row = _fold_row(form)
+        # c1 >= 0 and c >= 0 start the ranges
+        if row not in rows and row not in ((0, 0, (), 1, 0), (0, 0, (), 0, 1)):
             rows.append(row)
-    rows.sort(key=lambda row: row[3] != 0)
-    return rows, pin
+    outer_rows = sorted((row for row in rows if not row[4]), key=lambda row: row[3] != 0)
+    return outer_rows, [row for row in rows if row[4]], pin
 
 
-def _fold_row(form, equality=False):
-    """A _fold_tail form as a row: (constant, rem coefficient, miss terms, c coefficient, equality)."""
+def _fold_row(form):
+    """A _fold_tail form as a row: (constant, rem coefficient, miss terms, alpha, beta)."""
     terms = tuple(sorted((key, k) for key, k in form.items() if key >= 0 and k))
-    return form.get(-1, 0), form.get(-2, 0), terms, form.get(-3, 0), equality
+    return form.get(-1, 0), form.get(-2, 0), terms, form.get(-5, 0), form.get(-3, 0)
 
 
-def _fold_count(fold, rem, miss):
-    """Points of one prefix that enters the fold level: rem and miss on entry.
+def _fold_count(tail, rem, miss):
+    """Points of one prefix that enters the outer level: rem and miss on entry.
 
-    Intersects the interval of the fold value c, from 0 and rem, with
-    each of fold's rows in order and stops at the first that empties it,
-    then counts the interval's members of the pin's residue class (see
-    _fold_tail).
+    Intersects the interval of the outer value c1, from 0 and rem, with
+    each outer row in order and stops at the first that empties it.
+    Then, for each c1 in it, intersects the interval of the fold value
+    c, from 0 and rem - c1, with each other row, whose value moves by
+    its alpha per unit of c1, and counts the interval's members of the
+    pin's residue class (see _fold_tail).
     """
-    rows, pin = fold
+    outer_rows, rows, pin = tail
     lo, hi = 0, rem
-    for const, k_rem, terms, beta, equality in rows:
+    for const, k_rem, terms, alpha, _ in outer_rows:
         x = const + k_rem * rem
         for v, k in terms:
             x += k * miss[v]
-        # the row reads x + beta * c >= 0, or == 0
-        if equality:
-            if beta:
-                c, leftover = divmod(-x, beta)
-                if leftover:
-                    return 0
-                lo = max(lo, c)
-                hi = min(hi, c)
-            elif x:
-                return 0
-        elif beta > 0:
-            lo = max(lo, -(x // beta))
-        elif beta < 0:
-            hi = min(hi, x // -beta)
+        # the row reads x + alpha * c1 >= 0
+        if alpha > 0:
+            lo = max(lo, -(x // alpha))
+        elif alpha < 0:
+            hi = min(hi, x // -alpha)
         elif x < 0:
             return 0
         if lo > hi:
             return 0
-    if pin is None:
-        return hi - lo + 1
-    const, k_rem, terms, g, m, inv = pin
-    x = const + k_rem * rem
-    for v, k in terms:
-        x += k * miss[v]
-    if x % g:
-        return 0
-    # c = r (mod m) makes N = x + beta * c a multiple of |W|
-    r = -(x // g) * inv % m
-    return (hi - r) // m - (lo - 1 - r) // m
+    cut = []  # (x, alpha, beta): the row reads x + alpha * c1 + beta * c >= 0
+    for const, k_rem, terms, alpha, beta in rows:
+        x = const + k_rem * rem
+        for v, k in terms:
+            x += k * miss[v]
+        cut.append((x, alpha, beta))
+    if pin is not None:
+        const, k_rem, terms, p_alpha, g, m, inv = pin
+        p_x = const + k_rem * rem
+        for v, k in terms:
+            p_x += k * miss[v]
+    count = 0
+    for c1 in range(lo, hi + 1):
+        c_lo, c_hi = 0, rem - c1
+        for x, alpha, beta in cut:
+            x += alpha * c1
+            if beta > 0:
+                c = -(x // beta)
+                if c > c_lo:
+                    c_lo = c
+            else:
+                c = x // -beta
+                if c < c_hi:
+                    c_hi = c
+        if c_lo > c_hi:
+            continue
+        if pin is None:
+            count += c_hi - c_lo + 1
+            continue
+        x = p_x + p_alpha * c1
+        if x % g == 0:
+            # c = r (mod m) makes N = x + B * c a multiple of |W|
+            r = -(x // g) * inv % m
+            count += (c_hi - r) // m - (c_lo - 1 - r) // m
+    return count
 
 
 def _block_pivots(block, forms, total, pinned, pin_weight):
@@ -422,7 +463,7 @@ def _block_pivots(block, forms, total, pinned, pin_weight):
         pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
 
-def _scan(plan: _Plan, fold=None):
+def _scan(plan: _Plan, tail=None):
     """Depth-first scan yielding the values of every point (pre-base-shift).
 
     An explicit stack of levels: level i keeps its value vals[i], its
@@ -436,9 +477,9 @@ def _scan(plan: _Plan, fold=None):
     yielded list is shared and overwritten as the scan goes on.  The
     scan works on its own copy of the plan's targets.
 
-    Given fold, the plan's tail from _fold_tail, the scan stops at the
-    fold level: each prefix that enters it yields its number of points,
-    from _fold_count, and the levels after it are not scanned.
+    Given tail, the plan's _fold_tail, the scan stops at the outer
+    level: each prefix that enters it yields its number of points, from
+    _fold_count, and the levels from it on are not scanned.
     """
     levels, total, targets, pinned = plan.levels, plan.total, plan.targets, plan.pinned
     pin_weight, pin_terms, pin_const = plan.pin_weight, plan.pin_terms, plan.pin_const
@@ -450,7 +491,7 @@ def _scan(plan: _Plan, fold=None):
     if total < 0 or pivots is None:
         return
     solved = {pinned, *pivots}  # the levels whose range is narrowed on entry
-    stop = plan.fold if fold else -1
+    stop = plan.outer if tail else -1
     strides = [1] * n
     for level in pivots:
         strides[level] = p
@@ -467,7 +508,7 @@ def _scan(plan: _Plan, fold=None):
         rem = rems[i]
         if step is None:
             if i == stop:
-                yield _fold_count(fold, rem, miss)
+                yield _fold_count(tail, rem, miss)
                 i -= 1
                 step = 1
                 continue
@@ -540,26 +581,26 @@ def _scan(plan: _Plan, fold=None):
             step = None
 
 
-def _count_frontier(plan: _Plan, fold) -> int:
+def _count_frontier(plan: _Plan, tail) -> int:
     """Count the points level by level, merging equal partial flows.
 
-    Walks _plan's levels up to its fold level and applies _scan's rules
-    to every state at once: the done-side bounds and the npos + c > rem
-    cut.  A state is rem and the open nodes' missing balances, listed
-    in the order the nodes were first touched (states merge only within
-    a level).  The later levels and fold's rows read nothing else, so
-    equal states are kept once, with their multiplicity.  _fold_count
-    counts each state that enters the fold level, as the DFS counts a
-    prefix there.  fold's rows read only open or untouched nodes, so
-    the balances it reads are the plan's targets with the state's
-    written over them.  plan is narrow (see _plan: it has a fold level
-    and no block), and fold is its _fold_tail.
+    Walks _plan's levels up to its outer level and applies _scan's
+    rules to every state at once: the done-side bounds and the npos + c
+    > rem cut.  A state is rem and the open nodes' missing balances,
+    listed in the order the nodes were first touched (states merge only
+    within a level).  The later levels and tail's rows read nothing
+    else, so equal states are kept once, with their multiplicity.
+    _fold_count counts each state that enters the outer level, as the
+    DFS counts a prefix there.  tail's rows read only open or untouched
+    nodes, so the balances it reads are the plan's targets with the
+    state's written over them.  plan is narrow (see _plan: it has two
+    free decisions and no block), and tail is its _fold_tail.
     """
     total, targets = plan.total, plan.targets
     idle = sum(t for t in targets if t > 0)  # untouched nodes' positive balance
     before = []
     states = {(total,): 1} if total >= 0 else {}  # a negative total has no points
-    for a, b, a_in, a_out, b_in, b_out in plan.levels[: plan.fold]:
+    for a, b, a_in, a_out, b_in, b_out in plan.levels[: plan.outer]:
         # slots: the open nodes before this level, then the nodes this arc
         # touches first; miss adds a spare 0, where a loop's +c and -c cancel
         slots = before + [v for v in (a, b) if a != b and v not in before]
@@ -603,7 +644,7 @@ def _count_frontier(plan: _Plan, fold) -> int:
     for (rem, *balances), mult in states.items():
         for v, m in zip(before, balances):
             miss[v] = m
-        count += mult * _fold_count(fold, rem, miss)
+        count += mult * _fold_count(tail, rem, miss)
     return count
 
 
@@ -613,15 +654,15 @@ def count_points(system: FlowSystem) -> int:
     The plan (see _plan) is built once.  Without a fold level the DFS
     (_scan) visits every point; otherwise _fold_tail compiles the tail
     once for the engine the plan picks, merged frontier states
-    (_count_frontier) or the DFS, which stops at the fold level.
+    (_count_frontier) or the DFS, and either stops at the outer level.
     """
     plan = _plan(system)
     if plan.fold < 0:
         return sum(1 for _ in _scan(plan))
-    fold = _fold_tail(plan)
+    tail = _fold_tail(plan)
     if plan.narrow:
-        return _count_frontier(plan, fold)
-    return sum(_scan(plan, fold))
+        return _count_frontier(plan, tail)
+    return sum(_scan(plan, tail))
 
 
 def enumerate_points(system: FlowSystem):
@@ -707,25 +748,27 @@ class FitMismatch(RuntimeError):
     """The held-out sample contradicts the fitted polynomial (wrong degree or period)."""
 
 
-def _lagrange(xs, ys):
-    """Exact interpolation through (xs[i], ys[i]); ascending coefficients."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if j == i:
-                continue
-            # multiply num by (x - xs[j])
-            num = [Fraction(0)] + num
-            for d in range(len(num) - 1):
-                num[d] -= num[d + 1] * xs[j]
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for d in range(len(num)):
-            coeffs[d] += num[d] * scale
-    return tuple(coeffs)
+def _interpolate(t0, ys):
+    """The exact polynomial through (t0 + i, ys[i]); ascending coefficients.
+
+    Newton's forward form p(t) = sum_k (Delta^k y)_0 * C(t - t0, k), with
+    every falling factorial expanded in integers over the common
+    denominator d! (d = len(ys) - 1), which is divided out once per
+    coefficient.
+    """
+    d = len(ys) - 1
+    numer = [0] * (d + 1)
+    falling = [1]  # (t - t0) (t - t0 - 1) ... (t - t0 - k + 1), ascending
+    scale = factorial(d)  # d! / k!
+    for k in range(d + 1):
+        for j, f in enumerate(falling):
+            numer[j] += ys[0] * scale * f
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+        falling = [0] + falling
+        for j in range(k + 1):
+            falling[j] -= (t0 + k) * falling[j + 1]
+        scale //= k + 1
+    return tuple(Fraction(n, factorial(d)) for n in numer)
 
 
 def fit_quasipolynomial(
@@ -734,31 +777,44 @@ def fit_quasipolynomial(
     """Fit the count polynomial of one dilation class, with a held-out check.
 
     p(t) is the count at M = lam*t + residue in the given mode.  The fit
-    interpolates p exactly at degree+1 integers t, then counts at the
-    next t and compares; a mismatch means the assumed degree or period
-    is wrong and raises FitMismatch.  The degree must be nonnegative,
-    lam positive and the residue in [0, lam).
+    counts at degree+2 consecutive integers t, interpolates p exactly
+    through all but the largest and compares p there with its count; a
+    mismatch means the assumed degree or period is wrong and raises
+    FitMismatch.  The degree must be in [0, |E| - 1], since no flow
+    polytope on |E| arcs has a higher dimension, lam positive and the
+    residue in [0, lam).
 
     When graphs.flow_dimension gives the polytope's dimension D (every
-    arc on a cycle), the samples are t = -(degree//2) .. ceil(degree/2).
-    By Ehrhart's theorem a mode F count is a value of the quasipolynomial
-    from M = 0 on (1 at M = 0), a mode E count from M = 1 on; below that,
-    reciprocity gives p(t) = (-1)^D times the other mode's count at -M
-    (at least 1 when t < 0, since residue < lam).  D is the graph's, not
-    the caller's degree, so a degree too high still fits exactly and one
-    too low fails the check.  Otherwise {u > 0} misses P, mode E counts
-    no interior, and the samples are t = 1..degree+1 in the given mode.
+    arc on a cycle), the samples lie around 0: t = -ceil(degree/2) ..
+    floor(degree/2) + 1 in mode E, the degree+2 integers nearest 0 with
+    a tie going to the side counted in mode E, and one step lower in
+    mode F, whose negative side is the one counted in mode E.  By
+    Ehrhart's theorem a mode F count is a value of the quasipolynomial
+    from M = 0 on (1 at M = 0), a mode E count from M = 1 on; below
+    that, reciprocity gives p(t) = (-1)^D times the other mode's count
+    at -M (at least 1 when t < 0, since residue < lam).  D is the
+    graph's, not the caller's degree, so a degree too high still fits
+    exactly; a degree too low or a wrong period fails the check unless
+    the degree+2 counts happen to lie on a polynomial of that degree.
+    Otherwise {u > 0} misses P, mode E counts no interior, and the
+    samples are t = 1..degree+2 in the given mode.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
     if not 0 <= residue < lam:
         raise ValueError(f"need 0 <= residue < lambda, got residue {residue} and lambda {lam}")
     graph = build_graph(s)
+    if degree >= graph.n_arcs:
+        raise ValueError(
+            f"need degree <= |E| - 1 = {graph.n_arcs - 1}, the largest flow polytope "
+            f"dimension, got {degree}"
+        )
     dim = flow_dimension(graph)
     if dim is None:
-        xs = range(1, degree + 2)
+        ts = range(1, degree + 3)
     else:
-        xs = range(-(degree // 2), (degree + 1) // 2 + 1)
+        first = -((degree + 1) // 2) - (mode == "F")
+        ts = range(first, first + degree + 2)
     lowest = 1 if mode == "E" else 0
     other = "F" if mode == "E" else "E"
 
@@ -768,15 +824,14 @@ def fit_quasipolynomial(
             return count_points(FlowSystem(graph, m, mode))
         return (-1) ** dim * count_points(FlowSystem(graph, -m, other))
 
-    t_check = xs[-1] + 1
+    counts = [sample(t) for t in ts]
     poly = QuasiPolynomial(
-        degree, lam, residue, mode, _lagrange(xs, [sample(t) for t in xs]), t_check
+        degree, lam, residue, mode, _interpolate(ts[0], counts[:-1]), ts[-1]
     )
-    predicted = poly.evaluate(t_check)
-    actual = sample(t_check)
-    if predicted != actual:
+    predicted = poly.evaluate(ts[-1])
+    if predicted != counts[-1]:
         raise FitMismatch(
-            f"held-out count at t={t_check} is {actual}, fit predicts {predicted}"
+            f"held-out count at t={ts[-1]} is {counts[-1]}, fit predicts {predicted}"
         )
     return poly
 

@@ -1,11 +1,12 @@
 """Exhaustive reference scans and exact helpers that tests compare the library against."""
 
+from fractions import Fraction
 from itertools import product
 
 from gramcode.aecc import AmbiguousDecode, DecodeFailure
 from gramcode.grams import asym_distance, explicit_gram_set
 from gramcode.graphs import build_graph, net_outflow, strongly_connected_components
-from gramcode.lattice import FitMismatch, FlowSystem, QuasiPolynomial, _lagrange, count_points
+from gramcode.lattice import FitMismatch, FlowSystem, QuasiPolynomial, count_points
 
 
 def brute_force_support_count(n: int, ell: int) -> int:
@@ -126,6 +127,27 @@ def flow_points(graph, m_total, mode):
     return [u for u in points if not any(net_outflow(graph, u))]
 
 
+def lagrange(xs, ys):
+    """Oracle: exact interpolation through (xs[i], ys[i]); ascending coefficients."""
+    k = len(xs)
+    coeffs = [Fraction(0)] * k
+    for i in range(k):
+        num = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(k):
+            if j == i:
+                continue
+            # multiply num by (x - xs[j])
+            num = [Fraction(0)] + num
+            for d in range(len(num) - 1):
+                num[d] -= num[d + 1] * xs[j]
+            denom *= xs[i] - xs[j]
+        scale = Fraction(ys[i]) / denom
+        for d in range(len(num)):
+            coeffs[d] += num[d] * scale
+    return tuple(coeffs)
+
+
 def same_mode_fit(s, degree, lam, mode="F", residue=0):
     """Oracle: the count polynomial fitted from counts in one mode only.
 
@@ -140,7 +162,7 @@ def same_mode_fit(s, degree, lam, mode="F", residue=0):
 
     xs = range(1, degree + 2)
     poly = QuasiPolynomial(
-        degree, lam, residue, mode, _lagrange(xs, [count(t) for t in xs]), degree + 2
+        degree, lam, residue, mode, lagrange(xs, [count(t) for t in xs]), degree + 2
     )
     if poly.evaluate(degree + 2) != count(degree + 2):
         raise FitMismatch(f"held-out count at t={degree + 2} misses the fit")

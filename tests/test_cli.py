@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramcode import graphs
-from gramcode.cli import main
+from gramcode.cli import main, parse_set
 from gramcode.codec import parse_codebook_file
 from gramcode.grams import build_weight_set, gram_values
 from oracles import verify_min_distance
@@ -69,8 +69,8 @@ def test_fit_command():
     )
     assert status == 0
     assert grab(out, "leading-in-n") == "1/4"
-    # samples at t = -1, 0, 1; the held-out count is at t = 2
-    assert grab(out, "verified-at") == "2"
+    # samples at t = -2, -1, 0; the held-out count is at t = 1
+    assert grab(out, "verified-at") == "1"
 
 
 def test_repeat_runs_are_byte_identical():
@@ -456,14 +456,17 @@ def test_fit_output_is_golden_but_for_the_held_out_t(row, mode):
 
     assert kept(out) == kept(golden)
     assert grab(golden, "verified-at") == str(degree + 2)
-    assert grab(out, "verified-at") == str((degree + 1) // 2 + 1)
+    # degree+2 dilations around zero, one step lower in mode F, and the
+    # largest held out
+    assert grab(out, "verified-at") == str(degree // 2 + (mode == "E"))
 
 
 @st.composite
 def fit_argvs(draw, explicit_path):
     """A `fit` argv over a small full, weight or explicit set (the explicit
-    one written to explicit_path), degree 0..6, lambda 1..12, a residue
-    inside or outside [0, lambda) and either mode."""
+    one written to explicit_path), degree 0..6 or far above any set's
+    |E| - 1, lambda 1..12, a residue inside or outside [0, lambda) and
+    either mode."""
     kind = draw(st.sampled_from(["full", "weight", "explicit"]))
     ell = draw(st.sampled_from([2, 3, 1]))  # ell = 1 is refused
     if kind == "full":
@@ -484,7 +487,8 @@ def fit_argvs(draw, explicit_path):
     residue = draw(st.integers(0, lam - 1))
     if draw(st.integers(0, 3)) == 3:
         residue = draw(st.sampled_from([-residue - 1, residue + lam]))
-    return ["fit", "--set", *tokens, "--degree", str(draw(st.integers(0, 6))),
+    degree = draw(st.one_of(st.integers(0, 6), st.sampled_from([10**6, 10**18])))
+    return ["fit", "--set", *tokens, "--degree", str(degree),
             "--lambda", str(lam), f"--residue={residue}",
             "--mode", draw(st.sampled_from("FE"))]
 
@@ -504,5 +508,15 @@ def test_fit_fuzz_exits_cleanly(tmp_path_factory):
         if status:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error ")
+        # no flow polytope on |E| arcs has dimension |E| or more
+        at = argv.index("--degree")
+        try:
+            arcs = len(parse_set(argv[2:at]).grams)
+        except (ValueError, OSError, KeyError):
+            arcs = None  # a set the command refuses
+        if arcs is not None and int(argv[at + 1]) >= arcs:
+            assert status == 2
+        if status == 0:
+            assert int(argv[at + 1]) < arcs
 
     run()

@@ -106,6 +106,21 @@ def test_count_plans_once(monkeypatch):
         assert calls == [system]
 
 
+def test_count_stops_at_the_outer_level(monkeypatch):
+    # weight 2 4 1 2 3 at M = 180: the DFS meets 91 prefixes at the outer
+    # level, where stopping at the fold level would meet 4,186
+    calls = []
+    fold_count = lattice._fold_count
+
+    def counted(*args):
+        calls.append(args)
+        return fold_count(*args)
+
+    monkeypatch.setattr(lattice, "_fold_count", counted)
+    assert count_points(FlowSystem(build_graph(SW), 180)) == 17599
+    assert len(calls) == 91
+
+
 def test_wide_system_is_counted_without_visiting_its_points():
     # the DFS walks all 785,715 points of this system
     start = time.process_time()
@@ -296,10 +311,22 @@ def test_fit_rejects_a_wrong_period():
 
 
 def test_fit_samples_the_smallest_dilations(table_fits):
+    # degree+2 dilations around zero, one step lower in mode F, and the
+    # largest held out
     for f_poly, e_poly in table_fits.values():
-        assert f_poly.verified_at == e_poly.verified_at == (f_poly.degree + 1) // 2 + 1
+        assert f_poly.verified_at == f_poly.degree // 2
+        assert e_poly.verified_at == e_poly.degree // 2 + 1
     # an arc on no cycle: the fit samples t = 1..degree+1 and checks degree+2
     assert fit_quasipolynomial(TWO_COMPONENT_SET, 3, 2).verified_at == 5
+
+
+def test_fit_refuses_a_degree_above_the_arc_count():
+    # full 2 2 has 4 arcs: its flow polytopes have dimension at most 3
+    assert fit_quasipolynomial(S22, 3, 2).coeffs == (1, 2, 1, 0)
+    with pytest.raises(ValueError, match="degree"):
+        fit_quasipolynomial(S22, 4, 2)
+    with pytest.raises(ValueError, match="degree"):
+        fit_quasipolynomial(S22, 10**18, 2)
 
 
 def test_reciprocity(table_fits):

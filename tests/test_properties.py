@@ -42,6 +42,7 @@ from gramcode.lattice import (
     FlowSystem,
     _count_frontier,
     _fold_tail,
+    _interpolate,
     _plan,
     _scan,
     brute_force_profiles,
@@ -57,6 +58,7 @@ from oracles import (
     flow_dimension_by_rank,
     flow_points,
     growth_exponent_by_paths,
+    lagrange,
     same_mode_fit,
     slice_profile,
     word_profiles,
@@ -292,6 +294,12 @@ def test_fit_matches_the_same_mode_fit(case):
 
 
 @PROPERTY
+@given(st.integers(-6, 2), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=11))
+def test_forward_differences_match_lagrange(t0, ys):
+    assert _interpolate(t0, ys) == lagrange(range(t0, t0 + len(ys)), ys)
+
+
+@PROPERTY
 @given(st.integers(0, 12), st.data())
 def test_asym_distance_is_the_larger_one_sided_sum(n, data):
     u = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
@@ -426,14 +434,14 @@ def test_frontier_count_matches_the_scan(s, mode, data):
     system = _small_system(s, mode, data)
     frontier = _frontier_count(system)
     if frontier is None:
-        # the frontier stops at the fold level, so a plan without one is never narrow
+        # the frontier stops at the outer level, so a plan without one is never narrow
         assert not _plan(system).narrow
     else:
         assert frontier == len(enumerate_points(system))
 
 
 def _folded_count(system):
-    """The count of the scan stopped at the fold level, or None without one."""
+    """The count of the scan stopped at the outer level, or None without a fold level."""
     plan = _plan(system)
     return sum(_scan(plan, _fold_tail(plan))) if plan.fold >= 0 else None
 
@@ -444,8 +452,47 @@ def _frontier_count(system):
     return _count_frontier(plan, _fold_tail(plan)) if plan.fold >= 0 else None
 
 
-@settings(PROPERTY, max_examples=300)
-@given(gram_sets(), st.sampled_from("FE"), st.data())
+# (gram set, pin weight, outer level, fold level, pinned level) for each
+# tail shape the fold solves, -1 standing for no such level.  The fold
+# level is never the last level: a decision there is pinned with weight 1.
+# Each shape is counted in both modes; mode E gives "negative pin weight"
+# and "no pinned level" nonzero targets at nodes their tails read.
+FOLD_SHAPES = {
+    # a + 3b = M: the pin's residue class mod 3, a loop folded, and the
+    # fold level the one free decision, so it is also the outer level
+    "pin weight 3": (explicit_gram_set(2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+                     3, 0, 0, 1),
+    "negative pin weight": (explicit_gram_set(2, 4, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1),
+                                                     (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0)]),
+                            -2, 0, 0, 1),
+    # the loop 111 is pinned, and forced levels lie between fold and pin
+    "pinned loop": (full_gram_set(2, 3), 1, 2, 3, 7),
+    # two loops: one free decision, just before the pinned last level
+    "fold next to the pin": (explicit_gram_set(2, 2, [(0, 0), (1, 1)]), 1, 0, 0, 1),
+    # cycles of lengths 2 and 4 through a shared arc: the last decision
+    # moves no total, so nothing is pinned and the sum is a row
+    "no pinned level": (explicit_gram_set(3, 3, [(0, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 0),
+                                                 (2, 0, 1)]),
+                        0, 1, 2, -1),
+    # 01 is the outer level and closes node 0 with the forced 10 before
+    # the loop 11 is folded
+    "forced between outer and fold": (explicit_gram_set(3, 2, [(0, 1), (1, 0), (1, 1), (2, 2)]),
+                                      1, 0, 2, 3),
+    # three disjoint loops: the outer, the fold and the pinned level
+    "loop outer": (explicit_gram_set(3, 3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)]), 1, 0, 1, 2),
+    # a + b + 2c = M over the loops 00, 11 and the 2-cycle 12 21: the
+    # residue of the fold value mod 2 moves with the outer value
+    "pin residue moves with the outer value": (explicit_gram_set(3, 2, [(0, 0), (1, 1), (1, 2),
+                                                                        (2, 1)]),
+                                               2, 0, 1, 2),
+    # one 2-cycle: its only decision is pinned, so there is nothing to fold
+    "no free decision": (explicit_gram_set(2, 2, [(0, 1), (1, 0)]), 2, -1, -1, 0),
+}
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(st.sampled_from([shape[0] for shape in FOLD_SHAPES.values()]), gram_sets()),
+       st.sampled_from("FE"), st.data())
 def test_fold_count_matches_the_scan(s, mode, data):
     system = _small_system(s, mode, data)
     folded = _folded_count(system)
@@ -453,37 +500,27 @@ def test_fold_count_matches_the_scan(s, mode, data):
         assert folded == len(enumerate_points(system))
 
 
-# (gram set, pin weight, fold level, pinned level) for each tail shape the
-# fold solves, -1 standing for no such level.  The fold level is never the
-# last level: a decision there is pinned with weight 1.
-FOLD_SHAPES = {
-    # a + 3b = M: the pin's residue class mod 3, and a loop folded
-    "pin weight 3": (explicit_gram_set(2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
-                     3, 0, 1),
-    "negative pin weight": (explicit_gram_set(2, 4, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1),
-                                                     (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0)]),
-                            -2, 0, 1),
-    # the loop 111 is pinned, and forced levels lie between fold and pin
-    "pinned loop": (full_gram_set(2, 3), 1, 3, 7),
-    # two loops: the fold level is the one before the pinned last level
-    "fold next to the pin": (explicit_gram_set(2, 2, [(0, 0), (1, 1)]), 1, 0, 1),
-    # cycles of lengths 2 and 4 through a shared arc: the last decision
-    # moves no total, so nothing is pinned and the sum is a row
-    "no pinned level": (explicit_gram_set(3, 3, [(0, 1, 0), (1, 0, 1), (1, 0, 2), (0, 2, 0),
-                                                 (2, 0, 1)]),
-                        0, 2, -1),
-    # one 2-cycle: its only decision is pinned, so there is nothing to fold
-    "no free decision": (explicit_gram_set(2, 2, [(0, 1), (1, 0)]), 2, -1, 0),
-}
+def test_two_level_tails_have_their_shapes():
+    def plan(shape):
+        return _plan(FlowSystem(build_graph(FOLD_SHAPES[shape][0]), 0, "F"))
+
+    levels = plan("forced between outer and fold").levels
+    a, b, a_in, a_out, b_in, b_out = levels[1]
+    assert a != b and a_in and a_out  # 10 closes node 0
+    loops = plan("loop outer")
+    assert loops.levels[loops.outer][0] == loops.levels[loops.outer][1]
+    moving = plan("pin residue moves with the outer value")
+    *_, p_alpha, g, m, inv = _fold_tail(moving)[2]
+    assert p_alpha and m == 2
 
 
 @pytest.mark.parametrize("shape", FOLD_SHAPES)
 @pytest.mark.parametrize("mode", "FE")
 def test_fold_count_on_each_tail_shape(shape, mode):
-    s, weight, level, pinned = FOLD_SHAPES[shape]
+    s, weight, outer, level, pinned = FOLD_SHAPES[shape]
     graph = build_graph(s)
     plan = _plan(FlowSystem(graph, 0, mode))
-    assert (plan.pin_weight, plan.fold, plan.pinned) == (weight, level, pinned)
+    assert (plan.pin_weight, plan.outer, plan.fold, plan.pinned) == (weight, outer, level, pinned)
     for m in range(graph.n_arcs + 16):
         system = FlowSystem(graph, m, mode)
         points = len(enumerate_points(system))
