@@ -33,10 +33,10 @@ point.  A system with one free decision stops at it, the fold level.
 
 Counting has a second engine beside the DFS.  It walks the same plan
 up to the outer level, merging partial flows whose states agree (the
-remaining total and the open nodes' missing balances), and counts each
-merged state there as the DFS counts a prefix.  Its work grows with
-the number of distinct states, the DFS's with the number of prefixes
-at the outer level.  _plan picks the engine.
+DFS's own: the remaining total and every node's missing balance), and
+counts each merged state there as the DFS counts a prefix.  Its work
+grows with the number of distinct states, the DFS's with the number of
+prefixes at the outer level.  _plan picks the engine.
 
 Counts at dilations M = lam * t + r are interpolated into
 exact-rational polynomials in t, recovering leading coefficients of
@@ -124,13 +124,14 @@ def _plan(system: FlowSystem) -> _Plan:
 
     The same pass picks the counting engine.  A node is *open* once a
     non-loop arc has touched it and until it is closed (done on both
-    sides); its missing balance is the only one a partial flow can vary.
-    A frontier state after a level holds rem and the open nodes' missing
-    balances (their sum is fixed, so one fewer).  The frontier stops at
-    the outer level, so it holds no pin; the width still counts one slot
-    from the first level the pin depends on up to the pinned level,
-    which keeps the engine choice the width was tuned with.  The DFS
-    searches one dimension per decision level, less the pinned one.
+    sides).  A frontier state after a level holds rem and every node's
+    missing balance, but the open nodes' balances are the only ones that
+    vary: a closed node's is 0 and an untouched node's its target.  The
+    width counts those (their sum is fixed, so one fewer).  The frontier
+    stops at the outer level, so it holds no pin; the width still counts
+    one more from the first level the pin depends on up to the pinned
+    level, which keeps the engine choice the width was tuned with.  The
+    DFS searches one dimension per decision level, less the pinned one.
     The frontier count is chosen when the widest level boundary is
     narrower than that (full 3 2: 3 against 6), and never for a system
     with a block; the DFS counts every other system (full 2 3: 4
@@ -586,66 +587,49 @@ def _count_frontier(plan: _Plan, tail) -> int:
 
     Walks _plan's levels up to its outer level and applies _scan's
     rules to every state at once: the done-side bounds and the npos + c
-    > rem cut.  A state is rem and the open nodes' missing balances,
-    listed in the order the nodes were first touched (states merge only
-    within a level).  The later levels and tail's rows read nothing
-    else, so equal states are kept once, with their multiplicity.
-    _fold_count counts each state that enters the outer level, as the
-    DFS counts a prefix there.  tail's rows read only open or untouched
-    nodes, so the balances it reads are the plan's targets with the
-    state's written over them.  plan is narrow (see _plan: it has two
-    free decisions and no block), and tail is its _fold_tail.
+    > rem cut.  A state is the DFS's own: rem and every node's missing
+    balance miss, as the tuple (rem, *miss); a value c moves c units
+    from node b to node a, so a loop adds and subtracts c on one entry.
+    The later levels and tail's rows read nothing else, so equal states
+    are kept once, with their multiplicity.  At a level every closed
+    node has balance 0 and every untouched node its target, so two
+    states that agree on the open nodes agree on every node: the level
+    keeps one state per distinct rem and open balances.  _fold_count
+    counts each state that enters the outer level as the DFS counts a
+    prefix there.  plan is narrow (see _plan: it
+    has two free decisions and no block), and tail is its _fold_tail.
     """
-    total, targets = plan.total, plan.targets
-    idle = sum(t for t in targets if t > 0)  # untouched nodes' positive balance
-    before = []
-    states = {(total,): 1} if total >= 0 else {}  # a negative total has no points
+    total = plan.total
+    states = {(total, *plan.targets): 1} if total >= 0 else {}  # a negative total has no points
     for a, b, a_in, a_out, b_in, b_out in plan.levels[: plan.outer]:
-        # slots: the open nodes before this level, then the nodes this arc
-        # touches first; miss adds a spare 0, where a loop's +c and -c cancel
-        slots = before + [v for v in (a, b) if a != b and v not in before]
-        fresh = [targets[v] for v in slots[len(before):]]
-        idle -= sum(t for t in fresh if t > 0)
-        pa, pb = (slots.index(a), slots.index(b)) if a != b else (len(slots), len(slots))
-        # the open nodes after this level: the slots less the ends it closes
-        closed = {v for v, v_in, v_out in ((a, a_in, a_out), (b, b_in, b_out)) if v_in and v_out}
-        pick = [j for j, v in enumerate(slots) if v not in closed]
         nxt = {}
-        for (rem, *balances), mult in states.items():
-            miss = [*balances, *fresh, 0]
+        for (rem, *miss), mult in states.items():
+            ma, mb = miss[a], miss[b]
             lo, hi = 0, rem
             if a_in:
-                hi = min(hi, -miss[pa])
+                hi = min(hi, -ma)
             if a_out:
-                lo = max(lo, -miss[pa])
+                lo = max(lo, -ma)
             if b_in:
-                lo = max(lo, miss[pb])
+                lo = max(lo, mb)
             if b_out:
-                hi = min(hi, miss[pb])
+                hi = min(hi, mb)
             if lo > hi:
                 continue
-            ma, mb = miss[pa], miss[pb]
-            rest = idle + sum(m for m in miss if m > 0)
-            rest -= (ma if ma > 0 else 0) + (mb if mb > 0 else 0)
-            miss[pa] += lo
-            miss[pb] -= lo
+            # the positive balance of every node but the arc's ends
+            rest = sum(m for m in miss if m > 0) - (ma if ma > 0 else 0) - (mb if mb > 0 else 0)
+            miss[a] += lo
+            miss[b] -= lo
             for c in range(lo, hi + 1):
-                ma, mb = miss[pa], miss[pb]
+                ma, mb = miss[a], miss[b]
                 if rest + (ma if ma > 0 else 0) + (mb if mb > 0 else 0) + c > rem:
                     break
-                state = (rem - c, *[miss[j] for j in pick])
+                state = (rem - c, *miss)
                 nxt[state] = nxt.get(state, 0) + mult
-                miss[pa] += 1
-                miss[pb] -= 1
+                miss[a] += 1
+                miss[b] -= 1
         states = nxt
-        before = [slots[j] for j in pick]
-    count = 0
-    miss = list(targets)
-    for (rem, *balances), mult in states.items():
-        for v, m in zip(before, balances):
-            miss[v] = m
-        count += mult * _fold_count(tail, rem, miss)
-    return count
+    return sum(mult * _fold_count(tail, rem, miss) for (rem, *miss), mult in states.items())
 
 
 def count_points(system: FlowSystem) -> int:
@@ -794,10 +778,14 @@ def fit_quasipolynomial(
     that, reciprocity gives p(t) = (-1)^D times the other mode's count
     at -M (at least 1 when t < 0, since residue < lam).  D is the
     graph's, not the caller's degree, so a degree too high still fits
-    exactly; a degree too low or a wrong period fails the check unless
-    the degree+2 counts happen to lie on a polynomial of that degree.
-    Otherwise {u > 0} misses P, mode E counts no interior, and the
-    samples are t = 1..degree+2 in the given mode.
+    exactly.  When lam is a period, each class is a polynomial of
+    degree exactly D or identically 0, so a degree k < D is fitted at D,
+    with D's window, and FitMismatch is raised unless the coefficients
+    of t^(k+1)..t^D are all 0; the k+1 low ones are returned.  A wrong
+    period fails the check unless the counts happen to lie on a
+    polynomial of the fitted degree.  Otherwise {u > 0} misses P, mode
+    E counts no interior, and the samples are t = 1..degree+2 in the
+    given mode.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
@@ -810,11 +798,12 @@ def fit_quasipolynomial(
             f"dimension, got {degree}"
         )
     dim = flow_dimension(graph)
+    fitted = degree if dim is None else max(degree, dim)
     if dim is None:
         ts = range(1, degree + 3)
     else:
-        first = -((degree + 1) // 2) - (mode == "F")
-        ts = range(first, first + degree + 2)
+        first = -((fitted + 1) // 2) - (mode == "F")
+        ts = range(first, first + fitted + 2)
     lowest = 1 if mode == "E" else 0
     other = "F" if mode == "E" else "E"
 
@@ -825,15 +814,20 @@ def fit_quasipolynomial(
         return (-1) ** dim * count_points(FlowSystem(graph, -m, other))
 
     counts = [sample(t) for t in ts]
-    poly = QuasiPolynomial(
-        degree, lam, residue, mode, _interpolate(ts[0], counts[:-1]), ts[-1]
-    )
+    coeffs = _interpolate(ts[0], counts[:-1])
+    poly = QuasiPolynomial(fitted, lam, residue, mode, coeffs, ts[-1])
     predicted = poly.evaluate(ts[-1])
     if predicted != counts[-1]:
         raise FitMismatch(
             f"held-out count at t={ts[-1]} is {counts[-1]}, fit predicts {predicted}"
         )
-    return poly
+    if any(coeffs[degree + 1 :]):
+        top = max(k for k, c in enumerate(coeffs) if c)
+        raise FitMismatch(
+            f"degree {degree} is below the polytope's dimension {dim}: "
+            f"the degree-{dim} fit has t^{top} coefficient {coeffs[top]}"
+        )
+    return QuasiPolynomial(degree, lam, residue, mode, coeffs[: degree + 1], ts[-1])
 
 
 def reciprocity_check(f_poly: QuasiPolynomial, e_poly: QuasiPolynomial) -> bool:

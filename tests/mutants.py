@@ -1,0 +1,145 @@
+"""A catalogue of mutants: small faults in src/ that named tests must catch.
+
+Each Mutant replaces one exact text of one file under src/ with another,
+and names the tests (pytest ids, relative to the repository root) of
+which at least one must fail once it is applied.  Run as a script:
+
+    python tests/mutants.py
+
+It copies the checkout (without .git and caches) to a temporary
+directory, because tests/conftest.py puts its own checkout's src/ first
+on the path.  There it runs the named tests on the unmutated copy, which
+must pass, and then applies one mutant at a time and runs
+`python -m pytest -q -x` on that mutant's tests.  A mutant whose tests
+pass survives; the script prints each mutant's outcome and exits 1 if
+one survived or a run could not be made.
+
+EQUIVALENT lists mutants that no count can tell apart from the code,
+with the reason; they are not run.  tests/test_mutants.py checks that
+every old text still occurs exactly once, so a change that rewrites a
+catalogued line must update its entry.  Only the standard library is
+used, and pytest does not collect this file.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# file is relative to src/; tests are pytest ids relative to ROOT
+Mutant = namedtuple("Mutant", "name file old new tests")
+Equivalent = namedtuple("Equivalent", "name file old new reason")
+
+LATTICE = "gramcode/lattice.py"
+FRONTIER_COUNTS = (
+    "tests/test_properties.py::test_fold_count_on_each_tail_shape",
+    "tests/test_properties.py::test_frontier_count_matches_the_scan",
+    "tests/test_lattice.py::test_frontier_merges_exactly_the_scan_states",
+)
+FOLD_COUNTS = (
+    "tests/test_properties.py::test_fold_count_on_each_tail_shape",
+    "tests/test_properties.py::test_fold_count_matches_the_scan",
+    "tests/test_lattice.py::test_count_stops_at_the_outer_level",
+)
+
+MUTANTS = (
+    # the merged frontier (count by states)
+    Mutant("frontier merges states that differ only in rem", LATTICE,
+           "state = (rem - c, *miss)",
+           "state = next((k for k in nxt if k[1:] == tuple(miss)), (rem - c, *miss))",
+           FRONTIER_COUNTS),
+    Mutant("frontier keys a value that is not state", LATTICE,
+           "state = (rem - c, *miss)",
+           "state = (rem - c, c, *miss)",
+           ("tests/test_lattice.py::test_frontier_merges_exactly_the_scan_states",)),
+    Mutant("frontier cut counts the arc's ends twice", LATTICE,
+           "rest = sum(m for m in miss if m > 0) - (ma if ma > 0 else 0) - (mb if mb > 0 else 0)",
+           "rest = sum(m for m in miss if m > 0)",
+           FRONTIER_COUNTS),
+    Mutant("frontier drops a level's largest value", LATTICE,
+           "for c in range(lo, hi + 1):",
+           "for c in range(lo, hi):",
+           FRONTIER_COUNTS),
+    # the two-level fold (_fold_tail and _fold_count)
+    Mutant("fold moves each row against its c1 coefficient", LATTICE,
+           "x += alpha * c1",
+           "x -= alpha * c1",
+           FOLD_COUNTS),
+    Mutant("fold drops the outer value's largest value", LATTICE,
+           "for c1 in range(lo, hi + 1):",
+           "for c1 in range(lo, hi):",
+           FOLD_COUNTS),
+    Mutant("fold keeps the pin's residue class at c1 = 0", LATTICE,
+           "x = p_x + p_alpha * c1",
+           "x = p_x",
+           FOLD_COUNTS),
+    Mutant("fold with one free decision loses its one-pass row", LATTICE,
+           "forms.append({-5: -1})",
+           "pass",
+           FOLD_COUNTS),
+    # the fit
+    Mutant("reciprocity sign forced to +1", LATTICE,
+           "return (-1) ** dim * count_points(FlowSystem(graph, -m, other))",
+           "return count_points(FlowSystem(graph, -m, other))",
+           ("tests/test_properties.py::test_fit_matches_the_same_mode_fit",
+            "tests/test_cli.py::test_fit_output_is_golden_but_for_the_held_out_t")),
+    Mutant("a fit below the dimension keeps its low coefficients", LATTICE,
+           "if any(coeffs[degree + 1 :]):",
+           "if False:",
+           ("tests/test_lattice.py::test_fit_below_the_dimension_is_refused",
+            "tests/test_cli.py::test_fit_below_the_dimension_exits_3")),
+)
+
+EQUIVALENT = (
+    Equivalent("fold without its Fourier-Motzkin rows", LATTICE,
+               "forms.append(shadow)",
+               "pass",
+               "pure pruning: a c1 whose real interval of c is empty counts 0 without them"),
+    Equivalent("fold starts c's upper bound at rem", LATTICE,
+               "c_lo, c_hi = 0, rem - c1",
+               "c_lo, c_hi = 0, rem",
+               "the tail's rows already bound c by rem - c1: its values are >= 0 and sum to rem"),
+)
+
+
+def _run(copy, tests):
+    """pytest's exit status on tests in copy: 0 passed, 1 a test failed."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main():
+    bad = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        baseline = sorted({test for m in MUTANTS for test in m.tests})
+        if _run(copy, baseline):
+            print("the unmutated tree fails the named tests")
+            return 1
+        for m in MUTANTS:
+            path = copy / "src" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{'stale':<9}{m.name}: its old text does not occur once")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            status = _run(copy, m.tests)
+            path.write_text(text)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
+            print(f"{outcome:<9}{m.name}")
+            bad += status != 1
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

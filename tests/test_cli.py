@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramcode import graphs
+from gramcode import aecc, graphs
 from gramcode.cli import main, parse_set
 from gramcode.codec import parse_codebook_file
 from gramcode.grams import build_weight_set, gram_values
@@ -71,6 +71,16 @@ def test_fit_command():
     assert grab(out, "leading-in-n") == "1/4"
     # samples at t = -2, -1, 0; the held-out count is at t = 1
     assert grab(out, "verified-at") == "1"
+
+
+def test_fit_below_the_dimension_exits_3(capsys):
+    # full 2 3 has dimension 4; the counts at t = -1, 0 are both 4, at t = 1 362
+    status, out = run_cli("fit", "--set", "full", "2", "3", "--degree", "0",
+                          "--lambda", "12", "--residue", "2")
+    assert status == 3
+    assert "coeff" not in out
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error degree 0 is below")
 
 
 def test_repeat_runs_are_byte_identical():
@@ -462,27 +472,54 @@ def test_fit_output_is_golden_but_for_the_held_out_t(row, mode):
 
 
 @st.composite
-def fit_argvs(draw, explicit_path):
-    """A `fit` argv over a small full, weight or explicit set (the explicit
-    one written to explicit_path), degree 0..6 or far above any set's
-    |E| - 1, lambda 1..12, a residue inside or outside [0, lambda) and
-    either mode."""
+def set_tokens(draw, explicit_path):
+    """--set tokens of a small full, weight or explicit set (the explicit
+    one written to explicit_path), q <= 2 and ell <= 3, some of them
+    refused."""
     kind = draw(st.sampled_from(["full", "weight", "explicit"]))
     ell = draw(st.sampled_from([2, 3, 1]))  # ell = 1 is refused
     if kind == "full":
-        tokens = ["full", str(draw(st.integers(1, 2))), str(ell)]
-    elif kind == "weight":
+        return ["full", str(draw(st.integers(1, 2))), str(ell)]
+    if kind == "weight":
         w1 = draw(st.integers(0, ell))
         w2 = draw(st.integers(w1 - 1, ell + 1))
-        tokens = ["weight", "2", str(ell), str(draw(st.sampled_from([1, 1, 1, 0, 2]))),
-                  str(w1), str(w2)]
-    else:
-        cube = ["".join(map(str, g)) for g in product(range(2), repeat=ell)]
-        picks = draw(st.lists(st.sampled_from(cube), max_size=len(cube), unique=True))
-        if picks and not draw(st.integers(0, 9)):
-            picks.append(picks[0])  # a duplicate gram is refused
-        explicit_path.write_text(f"2 {ell}\n" + " ".join(picks) + "\n")
-        tokens = ["explicit", str(explicit_path)]
+        return ["weight", "2", str(ell), str(draw(st.sampled_from([1, 1, 1, 0, 2]))),
+                str(w1), str(w2)]
+    cube = ["".join(map(str, g)) for g in product(range(2), repeat=ell)]
+    picks = draw(st.lists(st.sampled_from(cube), max_size=len(cube), unique=True))
+    if picks and not draw(st.integers(0, 9)):
+        picks.append(picks[0])  # a duplicate gram is refused
+    explicit_path.write_text(f"2 {ell}\n" + " ".join(picks) + "\n")
+    return ["explicit", str(explicit_path)]
+
+
+def arc_count(tokens):
+    """|E| of the set the --set tokens name, or None for a set the commands refuse."""
+    try:
+        return len(parse_set(tokens).grams)
+    except (ValueError, OSError, KeyError):
+        return None
+
+
+def assert_clean_exit(argv):
+    """Run argv; the exit is 0, 2 or 3, and 2 or 3 print one `error` line."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, out = run_cli(*argv)
+    assert status in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if status:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error ")
+    return status, out
+
+
+@st.composite
+def fit_argvs(draw, explicit_path):
+    """A `fit` argv over a set_tokens set, degree 0..6 or far above any
+    set's |E| - 1, lambda 1..12, a residue inside or outside [0, lambda)
+    and either mode."""
+    tokens = draw(set_tokens(explicit_path))
     lam = draw(st.integers(1, 12))
     residue = draw(st.integers(0, lam - 1))
     if draw(st.integers(0, 3)) == 3:
@@ -500,23 +537,54 @@ def test_fit_fuzz_exits_cleanly(tmp_path_factory):
               deadline=timedelta(seconds=5))
     @given(fit_argvs(explicit_path))
     def run(argv):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            status, _ = run_cli(*argv)
-        assert status in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        if status:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error ")
+        status, _ = assert_clean_exit(argv)
         # no flow polytope on |E| arcs has dimension |E| or more
         at = argv.index("--degree")
-        try:
-            arcs = len(parse_set(argv[2:at]).grams)
-        except (ValueError, OSError, KeyError):
-            arcs = None  # a set the command refuses
+        arcs = arc_count(argv[2:at])
         if arcs is not None and int(argv[at + 1]) >= arcs:
             assert status == 2
         if status == 0:
             assert int(argv[at + 1]) < arcs
+
+    run()
+
+
+@st.composite
+def enumerate_argvs(draw, explicit_path, code_path):
+    """An `enumerate` argv over a set_tokens set: n in -3..60 (at most 14
+    for words), mode F, E or words, --closed and --points, and a --code
+    file whose length is the set's |E| or not."""
+    tokens = draw(set_tokens(explicit_path))
+    mode = draw(st.sampled_from(["F", "E", "words"]))
+    n = draw(st.integers(-3, 14 if mode == "words" else 60))
+    argv = ["enumerate", "--set", *tokens, "--n", str(n), "--mode", mode]
+    # --closed and --code outside the modes they apply to are refused
+    if not draw(st.integers(0, 1 if mode == "words" else 9)):
+        argv.append("--closed")
+    if draw(st.booleans()):
+        argv.append("--points")
+    if not draw(st.integers(0, 9 if mode == "words" else 2)):
+        length = arc_count(tokens)
+        if length is None or not draw(st.integers(0, 3)):
+            length = draw(st.integers(1, 9))
+        d = draw(st.integers(1, 2))
+        p = aecc.choose_prime(length, d)
+        beta = tuple(draw(st.integers(0, p - 1)) for _ in range(d))
+        code = aecc.build_code(p, range(1, length + 1), d, beta)
+        code_path.write_text(aecc.format_code_file(code))
+        argv += ["--code", str(code_path)]
+    return argv
+
+
+def test_enumerate_fuzz_exits_cleanly(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("enumerate-fuzz")
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=timedelta(seconds=5))
+    @given(enumerate_argvs(folder / "set.txt", folder / "code.txt"))
+    def run(argv):
+        status, out = assert_clean_exit(argv)
+        if status == 0 and "--points" in argv:
+            assert out.count("\npoint ") == int(grab(out, "count"))
 
     run()

@@ -121,6 +121,30 @@ def test_count_stops_at_the_outer_level(monkeypatch):
     assert len(calls) == 91
 
 
+@pytest.mark.parametrize("s, m, mode", [(S32, 24, "E"), (full_gram_set(4, 2), 12, "F")],
+                         ids=["full 3 2", "full 4 2"])
+def test_frontier_merges_exactly_the_scan_states(monkeypatch, s, m, mode):
+    # each merged state reaches the outer level once, and the states are
+    # the (rem, miss) with which the DFS's prefixes enter it
+    calls = []
+    fold_count = lattice._fold_count
+
+    def recorded(tail, rem, miss):
+        calls.append((rem, tuple(miss)))
+        return fold_count(tail, rem, miss)
+
+    monkeypatch.setattr(lattice, "_fold_count", recorded)
+    plan = _plan(FlowSystem(build_graph(s), m, mode))
+    assert plan.narrow
+    tail = lattice._fold_tail(plan)
+    count = lattice._count_frontier(plan, tail)
+    merged = list(calls)
+    calls.clear()
+    assert sum(lattice._scan(plan, tail)) == count
+    assert len(set(merged)) == len(merged)
+    assert set(merged) == set(calls)
+
+
 def test_wide_system_is_counted_without_visiting_its_points():
     # the DFS walks all 785,715 points of this system
     start = time.process_time()
@@ -327,6 +351,25 @@ def test_fit_refuses_a_degree_above_the_arc_count():
         fit_quasipolynomial(S22, 4, 2)
     with pytest.raises(ValueError, match="degree"):
         fit_quasipolynomial(S22, 10**18, 2)
+
+
+def test_fit_below_the_dimension_is_refused():
+    # the count at M = 14 is 362, while t = -1 and 0 both count 4
+    with pytest.raises(FitMismatch, match="below the polytope's dimension 4"):
+        fit_quasipolynomial(S23, 0, 12, residue=2)
+    # D = 2: the class is 2 + 6t + 6t^2, whose counts at t = 0, 1 are 2 and 14
+    s = explicit_gram_set(2, 3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
+    assert fit_quasipolynomial(s, 2, 12, residue=3).coeffs == (2, 6, 6)
+    for degree in (0, 1):
+        with pytest.raises(FitMismatch, match=r"t\^2 coefficient 6"):
+            fit_quasipolynomial(s, degree, 12, residue=3)
+    # D = 1 on two 2-cycles through node 0: an odd total has no points,
+    # so its class is identically 0 and fits at any degree
+    twin = explicit_gram_set(3, 2, [(0, 1), (1, 0), (0, 2), (2, 0)])
+    for mode in "FE":
+        assert fit_quasipolynomial(twin, 0, 2, mode, residue=1).coeffs == (0,)
+        with pytest.raises(FitMismatch):
+            fit_quasipolynomial(twin, 0, 2, mode, residue=0)
 
 
 def test_reciprocity(table_fits):
