@@ -2,11 +2,14 @@
 
 Two ways to build an l-gram reconstruction code: intersect a Varshamov
 code with the realizable profiles of length-n words (interior flow
-points, all of which a single Eulerian walk realizes), or extend short
+points, all of which a single Eulerian walk realizes, so one strong
+component check of the graph certifies the whole book), or extend short
 message vectors into profiles with a systematic encoder built on a
 Hamiltonian cycle plus a loop.  The deterministic Euler map turns any
 feasible profile back into its canonical word, which is also how noisy
-observations are decoded after a minimum-distance scan of the codebook.
+observations are decoded after a minimum-distance scan of the codebook;
+the scan drops each row once it is beaten and measures a row that ties
+in full.
 Rank-modulation messages ride the same systematic encoder: permutations
 go in as info counts and come back out as the relative order of counts.
 """
@@ -32,6 +35,7 @@ from .graphs import (
     eulerian_walk,
     hamiltonian_cycle,
     net_outflow,
+    strongly_connected_components,
 )
 from .lattice import enumerate_points, flow_system_for_words
 
@@ -195,16 +199,20 @@ class GrcCodebook:
 def grc_intersect(code: VarshamovCode, n: int, s: GramSet) -> GrcCodebook:
     """Codebook of Varshamov members among the profiles of length-n words.
 
-    Interior flow points (every count >= 1) are guaranteed realizable,
-    so the enumeration restricted by the code is the codebook;
-    each one is still certified by building its word.
+    The enumeration restricted by the code is the codebook, certified for
+    every point at once by one strong component check of D(S).  A point
+    is balanced with every count >= 1, so on a strongly connected
+    D(S) it is Eulerian and a closed word realizes it (Euler's theorem).
+    An arc between components lies on no cycle, so there is no point
+    and the book is empty; components with no arc between them give
+    every point a disconnected support, which is refused.
     """
     if code.length != len(s):
         raise ValueError("code length must match the gram set size")
     graph = build_graph(s)
     points = enumerate_points(flow_system_for_words(graph, n, "E", code))
-    for u in points:
-        euler_word(u, s, graph)
+    if points and len(strongly_connected_components(graph)) > 1:
+        raise ValueError("arc support is disconnected; no single walk covers it")
     return GrcCodebook(n, s, tuple(points), code.design_distance, "intersection")
 
 
@@ -246,7 +254,10 @@ def decode_profile(codebook: GrcCodebook, observed) -> DecodeResult:
 
     Out-of-set observation mass is reported but never matched: S-indexed
     codewords have no foreign coordinates.  Ties keep the first codeword
-    in codebook order and set the tie flag.
+    in codebook order and set the tie flag.  Each row's distance is
+    bounded by the best so far, so a row stops once it is beaten; a row
+    that ties is measured in full, so the winner, its distance and the
+    tie flag are those of the full scan.
     """
     if not codebook.codewords:
         raise ValueError("empty codebook")
@@ -256,7 +267,7 @@ def decode_profile(codebook: GrcCodebook, observed) -> DecodeResult:
     best = None
     tie = False
     for i, u in enumerate(codebook.codewords):
-        dist = asym_distance(u, projected)
+        dist = asym_distance(u, projected, best)
         if best is None or dist < best:
             best = dist
             best_idx = i

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from math import comb
+from math import comb, inf
 
 DNA_LETTERS = "ATGC"
 MAX_DIGIT_ALPHABET = 9
@@ -263,22 +263,30 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
     return ProfileVector(tuple(counts))
 
 
-def asym_distance(u, v) -> int:
+def asym_distance(u, v, bound=None) -> int:
     """Asymmetric distance: the larger of the one-sided difference sums
     sum max(u_i - v_i, 0) and sum max(v_i - u_i, 0).
 
     A metric on count vectors; for equal-sum vectors it equals half
-    the L1 distance.
+    the L1 distance.  Given a bound, the scan stops as soon as one sum
+    exceeds it: the distance is returned exactly when it is <= bound,
+    and otherwise some value > bound.
     """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError(f"length mismatch {len(u)} != {len(v)}")
+    if bound is None:
+        bound = inf
     up = down = 0
     for a, b in zip(u, v):
         if a > b:
             up += a - b
+            if up > bound:
+                return up
         else:
             down += b - a
+            if down > bound:
+                return down
     return max(up, down)
 
 

@@ -36,6 +36,8 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 Equivalent = namedtuple("Equivalent", "name file old new reason")
 
 LATTICE = "gramcode/lattice.py"
+CODEC = "gramcode/codec.py"
+GRAMS = "gramcode/grams.py"
 FRONTIER_COUNTS = (
     "tests/test_properties.py::test_fold_count_on_each_tail_shape",
     "tests/test_properties.py::test_frontier_count_matches_the_scan",
@@ -93,6 +95,16 @@ MUTANTS = (
            "if False:",
            ("tests/test_lattice.py::test_fit_below_the_dimension_is_refused",
             "tests/test_cli.py::test_fit_below_the_dimension_exits_3")),
+    # the codebook path
+    Mutant("bounded distance stops at equality", GRAMS,
+           "if up > bound:",
+           "if up >= bound:",
+           ("tests/test_properties.py::test_asym_distance_bound_contract",
+            "tests/test_properties.py::test_decode_profile_matches_the_full_scan")),
+    Mutant("intersection book skips its component check", CODEC,
+           "if points and len(strongly_connected_components(graph)) > 1:",
+           "if False:",
+           ("tests/test_codec.py::test_grc_intersect_refuses_a_disconnected_support",)),
 )
 
 EQUIVALENT = (

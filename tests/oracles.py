@@ -78,6 +78,18 @@ def verify_min_distance(codebook):
     return best
 
 
+def scan_decode(codewords, observed):
+    """Oracle: minimum-distance decoding by the full scan, as (index, distance, tie).
+
+    Measures the whole asym_distance against every row; the first row in
+    order at the minimum wins, and the tie flag is set when another row
+    shares that minimum.
+    """
+    dists = [asym_distance(u, observed) for u in codewords]
+    best = min(dists)
+    return dists.index(best), best, dists.count(best) > 1
+
+
 def growth_exponent_by_paths(graph):
     """(Delta, Delta_bar) by listing every path of the condensation.
 

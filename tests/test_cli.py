@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from gramcode import aecc, graphs
 from gramcode.cli import main, parse_set
-from gramcode.codec import parse_codebook_file
+from gramcode.codec import format_codebook_file, parse_codebook_file
 from gramcode.grams import build_weight_set, gram_values
 from oracles import verify_min_distance
 
@@ -450,6 +452,46 @@ def test_tables_output_is_golden(table):
     status, out = run_cli("tables", "--id", table)
     assert status == 0
     assert out == (GOLDEN / f"tables_{table}.txt").read_text()
+
+
+def test_grc_build_intersect_file_matches_the_bench_reference(tmp_path):
+    """The bench's n=120 codebook file, byte for byte, and grc-build's stdout."""
+    ref = json.loads((GOLDEN.parent.parent / "bench" / "reference.json").read_text())["codebook"]
+    p, n = ref["params"], ref["full"]["n"]
+    code_path, book_path = tmp_path / "code.txt", tmp_path / "book.txt"
+    alphas = ",".join(map(str, p["alphas"]))
+    run_cli("code-build", "--length", str(len(p["alphas"])), "--d", str(p["d"]),
+            "--p", str(p["p"]), "--alphas", alphas, "--out", str(code_path))
+    status, out = run_cli("grc-build", "--method", "intersect", "--set", "full", str(p["q"]),
+                          str(p["ell"]), "--n", str(n), "--code", str(code_path),
+                          "--out", str(book_path))
+    assert status == 0
+    assert out == (
+        f"format gramcode/1\ncommand grc-build\nconfig method intersect\n"
+        f"config set full {p['q']} {p['ell']}\nconfig n {n}\nconfig code {code_path}\n"
+        f"codewords {ref['full']['size']}\ndistance {p['d'] + 1}\ncodebook-file {book_path}\n"
+    )
+    assert hashlib.sha256(book_path.read_bytes()).hexdigest() == ref["full"]["sha256"]
+
+
+# Observations of the n=158 headline book (`full 2 3`, the mod-13 d=2
+# code), each at distance 3 from its nearest codewords: two codewords tie
+# for the first, the second has one.  The golden files name the directory
+# of the input files TMP.
+DECODE_OBSERVATIONS = {
+    "tied": (33, 8, 7, 26, 8, 25, 26, 20),
+    "untied": (22, 17, 11, 19, 18, 12, 18, 36),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_OBSERVATIONS))
+def test_decode_output_is_golden(case, headline_codebook, tmp_path):
+    book_path, profile_path = tmp_path / "book.txt", tmp_path / "observed.txt"
+    book_path.write_text(format_codebook_file(headline_codebook))
+    profile_path.write_text(f"2 3 full 158\n{' '.join(map(str, DECODE_OBSERVATIONS[case]))}\n")
+    status, out = run_cli("decode", "--codebook", str(book_path), "--profile", str(profile_path))
+    assert status == 0
+    assert out.replace(str(tmp_path), "TMP") == (GOLDEN / f"decode_158_{case}.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", "FE")

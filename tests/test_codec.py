@@ -23,6 +23,7 @@ from gramcode.codec import (
 )
 from gramcode.grams import (
     build_weight_set,
+    explicit_gram_set,
     full_gram_set,
     gram_values,
     profile,
@@ -191,6 +192,41 @@ def test_grc_intersect_small_oracle():
     assert book.provenance == "intersection"
     # exhaustive pairwise check: the declared distance really holds
     assert verify_min_distance(book.codewords) >= book.distance
+
+
+def assert_realized_by_walks(book):
+    """Each row is the profile of the closed word its Euler walk spells."""
+    s = book.gram_set
+    graph = build_graph(s)
+    for u in book.codewords:
+        w = euler_word(u, s, graph)
+        assert len(w) == book.n and profile(w, s).counts == u
+        assert w.symbols[: s.ell - 1] == w.symbols[book.n - s.ell + 1 :]
+
+
+def test_grc_intersect_books_are_realized_by_their_walks(headline_codebook):
+    # the bench's codebook (n=120) and the headline one (n=158)
+    code = build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
+    book = grc_intersect(code, 120, S23)
+    assert len(book) == 3510
+    assert_realized_by_walks(book)
+    assert_realized_by_walks(headline_codebook)
+
+
+def test_grc_intersect_refuses_a_disconnected_support():
+    # two loops and no arc between them: every point's support is disconnected
+    s = explicit_gram_set(2, 2, [(0, 0), (1, 1)])
+    code = build_code(5, (1, 2), 1)
+    assert enumerate_points(flow_system_for_words(build_graph(s), 12, "E", code))
+    with pytest.raises(ValueError, match="arc support is disconnected"):
+        grc_intersect(code, 12, s)
+
+
+def test_grc_intersect_arc_between_components_gives_an_empty_book():
+    # the arc 01 lies on no cycle, so no closed word uses every gram
+    s = explicit_gram_set(2, 2, [(0, 0), (0, 1), (1, 1)])
+    book = grc_intersect(build_code(5, (1, 2, 3), 1), 12, s)
+    assert book.codewords == ()
 
 
 def test_grc_intersect_beta_classes_are_disjoint():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from gramcode.aecc import build_code, decode_bounded
 from gramcode.channel import inject, trace_from_json, trace_to_json, transmit
 from gramcode.codec import (
+    GrcCodebook,
+    decode_profile,
     euler_word,
     message_bound,
     project_observed,
@@ -60,6 +62,7 @@ from oracles import (
     growth_exponent_by_paths,
     lagrange,
     same_mode_fit,
+    scan_decode,
     slice_profile,
     word_profiles,
 )
@@ -307,6 +310,62 @@ def test_asym_distance_is_the_larger_one_sided_sum(n, data):
     up = sum(a - b for a, b in zip(u, v) if a > b)
     down = sum(b - a for a, b in zip(u, v) if b > a)
     assert asym_distance(u, v) == max(up, down)
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(-1, 60), st.data())
+def test_asym_distance_bound_contract(n, bound, data):
+    """Exact when the distance is <= bound, some value > bound otherwise."""
+    u = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    v = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    exact = asym_distance(u, v)
+    got = asym_distance(u, v, bound)
+    if exact <= bound:
+        assert got == exact
+    else:
+        assert got > bound
+    with pytest.raises(ValueError, match="length mismatch"):
+        asym_distance(u, v + [0], bound)
+
+
+# Word profiles of each length over two small sets: rows that
+# decode_profile can turn back into words.
+DECODE_POOLS = [
+    (s, {n: sorted(word_profiles(n, s)) for n in range(s.ell, 9)})
+    for s in (full_gram_set(2, 2), full_gram_set(2, 3))
+]
+
+
+@st.composite
+def decode_books(draw):
+    """(gram set, rows, observed) for decode_profile against the full scan.
+
+    The rows are word profiles of one length (one sum) or of mixed
+    lengths (unequal sums); the observation is any count vector.  At
+    times the scan's winner is repeated later in the book, which forces
+    a tie at the minimum.
+    """
+    s, pools = draw(st.sampled_from(DECODE_POOLS))
+    lengths = sorted(pools)
+    if draw(st.booleans()):
+        row = st.sampled_from(pools[draw(st.sampled_from(lengths))])
+    else:
+        row = st.sampled_from(lengths).flatmap(lambda n: st.sampled_from(pools[n]))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    observed = tuple(draw(st.lists(st.integers(0, 6), min_size=len(s), max_size=len(s))))
+    if draw(st.booleans()):
+        first = scan_decode(rows, observed)[0]
+        rows.insert(draw(st.integers(first + 1, len(rows))), rows[first])
+    return s, rows, observed
+
+
+@PROPERTY
+@given(decode_books())
+def test_decode_profile_matches_the_full_scan(case):
+    s, rows, observed = case
+    result = decode_profile(GrcCodebook(0, s, tuple(rows), 1, "external"), observed)
+    assert (result.index, result.distance, result.tie) == scan_decode(rows, observed)
+    assert result.codeword == rows[result.index]
 
 
 @st.composite
