@@ -17,6 +17,7 @@ go in as info counts and come back out as the relative order of counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .aecc import VarshamovCode
@@ -24,9 +25,9 @@ from .grams import (
     GramSet,
     ProfileVector,
     Word,
-    asym_distance,
     full_gram_set,
     gram_set_spec,
+    nearest_row,
     parse_gram_set_spec,
 )
 from .graphs import (
@@ -195,6 +196,11 @@ class GrcCodebook:
     def __len__(self):
         return len(self.codewords)
 
+    @cached_property
+    def graph(self) -> DeBruijnGraph:
+        """D(S), built once per book for the words of its decodes."""
+        return build_graph(self.gram_set)
+
 
 def grc_intersect(code: VarshamovCode, n: int, s: GramSet) -> GrcCodebook:
     """Codebook of Varshamov members among the profiles of length-n words.
@@ -254,28 +260,19 @@ def decode_profile(codebook: GrcCodebook, observed) -> DecodeResult:
 
     Out-of-set observation mass is reported but never matched: S-indexed
     codewords have no foreign coordinates.  Ties keep the first codeword
-    in codebook order and set the tie flag.  Each row's distance is
-    bounded by the best so far, so a row stops once it is beaten; a row
-    that ties is measured in full, so the winner, its distance and the
-    tie flag are those of the full scan.
+    in codebook order and set the tie flag.  One grams.nearest_row scan
+    bounds each row's distance by the best so far, so a row stops once
+    it is beaten; a row that ties is measured in full, so the winner,
+    its distance and the tie flag are those of the full scan.  The
+    winner's word is walked on the book's own D(S).
     """
     if not codebook.codewords:
         raise ValueError("empty codebook")
     s = codebook.gram_set
     projected, foreign = project_observed(observed, s)
-    best_idx = -1
-    best = None
-    tie = False
-    for i, u in enumerate(codebook.codewords):
-        dist = asym_distance(u, projected, best)
-        if best is None or dist < best:
-            best = dist
-            best_idx = i
-            tie = False
-        elif dist == best:
-            tie = True
-    winner = codebook.codewords[best_idx]
-    return DecodeResult(best_idx, winner, euler_word(winner, s), best, foreign, tie)
+    index, dist, tie = nearest_row(codebook.codewords, projected)
+    winner = codebook.codewords[index]
+    return DecodeResult(index, winner, euler_word(winner, s, codebook.graph), dist, foreign, tie)
 
 
 # --- rank modulation --------------------------------------------------------
@@ -324,7 +321,9 @@ def rank_readout_decode(layout: SystematicLayout, observed):
 
 # --- codebook files ---------------------------------------------------------
 #
-# Header "n q ell <set-spec> d provenance", then one profile per line.
+# Header "n q ell <set-spec> d provenance", then one profile per line.  A
+# parsed row must be one a length-n word can have: |S| nonnegative counts
+# summing to n - ell + 1.  In-memory books are not held to the sum.
 
 def format_codebook_file(book: GrcCodebook) -> str:
     s = book.gram_set
@@ -343,10 +342,15 @@ def parse_codebook_file(text: str) -> GrcCodebook:
     provenance = head[-1]
     distance = int(head[-2])
     s = parse_gram_set_spec(q, ell, head[3:-2])
+    total = n - ell + 1
     words = []
     for ln in lines[1:]:
-        u = ProfileVector(int(t) for t in ln.split()).counts
+        u = tuple(map(int, ln.split()))
         if len(u) != len(s):
             raise ValueError(f"profile has {len(u)} counts, expected {len(s)}")
+        if min(u) < 0:
+            raise ValueError(f"negative count {min(u)}")
+        if sum(u) != total:
+            raise ValueError(f"profile sums to {sum(u)}, but a length-{n} word has {total} grams")
         words.append(u)
     return GrcCodebook(n, s, tuple(words), distance, provenance)

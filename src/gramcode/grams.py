@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import comb, inf
+from operator import sub
 
 DNA_LETTERS = "ATGC"
 MAX_DIGIT_ALPHABET = 9
@@ -270,24 +271,44 @@ def asym_distance(u, v, bound=None) -> int:
     A metric on count vectors; for equal-sum vectors it equals half
     the L1 distance.  Given a bound, the scan stops as soon as one sum
     exceeds it: the distance is returned exactly when it is <= bound,
-    and otherwise some value > bound.
+    and otherwise some value > bound.  It is nearest_row on one row.
     """
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch {len(u)} != {len(v)}")
-    if bound is None:
-        bound = inf
-    up = down = 0
-    for a, b in zip(u, v):
-        if a > b:
-            up += a - b
-            if up > bound:
-                return up
+    index, dist, _ = nearest_row((tuple(u),), tuple(v), inf if bound is None else bound)
+    return dist if index == 0 else bound + 1
+
+
+def nearest_row(rows, v, bound=inf):
+    """The first of the rows nearest v in asymmetric distance, if within bound.
+
+    Returns (index, distance, tie), tie saying whether a later row is
+    at the same distance; index is -1, and the distance bound, when
+    every row is farther than bound.  Each row's one-sided sums stop as
+    soon as one exceeds the best distance so far (at first bound), so a
+    beaten row costs only the prefix that beats it; a row that ties is
+    measured in full.  The rows all have v's length, which is checked
+    once, on the first.
+    """
+    if rows and len(rows[0]) != len(v):
+        raise ValueError(f"length mismatch {len(rows[0])} != {len(v)}")
+    best, index, tie = bound, -1, False
+    for i, u in enumerate(rows):
+        up = down = 0
+        for d in map(sub, u, v):
+            if d > 0:
+                up += d
+                if up > best:
+                    break
+            else:
+                down -= d
+                if down > best:
+                    break
         else:
-            down += b - a
-            if down > bound:
-                return down
-    return max(up, down)
+            dist = up if up > down else down
+            if dist < best or index < 0 and dist <= best:
+                best, index, tie = dist, i, False
+            elif dist == best:
+                tie = True
+    return index, best, tie
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ residue class (from the pinned value's divisibility by its weight),
 counted in closed form; so a count skips the points of the two
 innermost free dimensions, while an enumeration still visits every
 point.  A system with one free decision stops at it, the fold level.
+A count with a block folds too, unless the pinned level is a pivot.
+When the fold level is a pivot, the count stops there, in one pass: its
+values with a point are an interval and the one class that joins the
+pivot's residue mod p to the pin's by the Chinese remainder theorem.
 
 Counting has a second engine beside the DFS.  It walks the same plan
 up to the outer level, merging partial flows whose states agree (the
@@ -146,11 +150,17 @@ def _plan(system: FlowSystem) -> _Plan:
     level again when it is the only free decision.  count_points has
     _fold_tail compile the levels from the outer one on into rows once,
     so the engine stops there and _fold_count counts the points of each
-    prefix or merged state.  A system with a block, or with no free
-    decision, has no fold level and its count scans every point.  A
-    narrow plan always has two free decisions, since narrow needs a
-    block-free plan whose search dimensions outnumber a width of at
-    least 1.
+    prefix or merged state.  A system with no free decision has no
+    fold level, and nor has one whose block has no point (pivots None)
+    or makes the pinned level a pivot: _fold_count cannot see the pinned
+    level's class mod p, so those counts scan every point.  The other
+    pivots lie before the fold level or on it.  When the fold level or
+    the one before it is a pivot, the outer level is the fold level
+    itself (one pass), and the scan hands the fold level's residue to
+    _fold_count; otherwise every pivot lies before the outer level and
+    the tail is folded as without a block.  A narrow plan always has two
+    free decisions, since narrow needs a block-free plan whose search
+    dimensions outnumber a width of at least 1.
 
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
@@ -229,10 +239,12 @@ def _plan(system: FlowSystem) -> _Plan:
     width = max(
         max(k - 1, 0) + 1 + (pending_from <= i < pinned) for i, k in enumerate(widths)
     )
-    free = [] if block else decisions[:-1] if pinned >= 0 else decisions
-    narrow = width < len(free)
+    free = decisions[:-1] if pinned >= 0 else decisions
+    if pivots is None or pinned in pivots:
+        free = []  # no point, or a class left to the pinned level: scan every point
+    narrow = not block and width < len(free)
     fold = free[-1] if free else -1
-    outer = free[-2] if len(free) > 1 else fold
+    outer = free[-2] if len(free) > 1 and pivots.keys().isdisjoint(free[-2:]) else fold
     return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
                  shift, block, pivots, narrow, outer, fold)
 
@@ -349,7 +361,7 @@ def _fold_row(form):
     return form.get(-1, 0), form.get(-2, 0), terms, form.get(-5, 0), form.get(-3, 0)
 
 
-def _fold_count(tail, rem, miss):
+def _fold_count(tail, rem, miss, pivot=None):
     """Points of one prefix that enters the outer level: rem and miss on entry.
 
     Intersects the interval of the outer value c1, from 0 and rem, with
@@ -358,8 +370,18 @@ def _fold_count(tail, rem, miss):
     c, from 0 and rem - c1, with each other row, whose value moves by
     its alpha per unit of c1, and counts the interval's members of the
     pin's residue class (see _fold_tail).
+
+    pivot is (r, p) when the fold level is a pivot of the plan's block:
+    its value must be r mod p.  The fold level is then also the outer
+    one (see _plan), so c1 is 0 and the pin's class c = r0 mod m is one
+    class before the loop.  The Chinese remainder theorem joins the two
+    into one class, c = r0 mod m*p when p does not divide m; otherwise
+    they are the class r0 mod m when r0 = r mod p, and no c at all when
+    not.  The loop counts that class as the pin's, with g = inv = 1.
     """
     outer_rows, rows, pin = tail
+    if pivot is not None and pin is None:
+        pin = (0, 0, (), 0, 1, 1, 0)  # the pin's class: every c, c = 0 mod 1
     lo, hi = 0, rem
     for const, k_rem, terms, alpha, _ in outer_rows:
         x = const + k_rem * rem
@@ -385,6 +407,17 @@ def _fold_count(tail, rem, miss):
         p_x = const + k_rem * rem
         for v, k in terms:
             p_x += k * miss[v]
+        if pivot is not None:
+            r, p = pivot
+            if p_x % g:
+                return 0
+            r0 = -(p_x // g) * inv % m
+            if m % p:
+                r0 += m * ((r - r0) * pow(m, -1, p) % p)
+                m *= p
+            elif (r0 - r) % p:
+                return 0
+            p_x, g, inv = -r0, 1, 1
     count = 0
     for c1 in range(lo, hi + 1):
         c_lo, c_hi = 0, rem - c1
@@ -480,7 +513,8 @@ def _scan(plan: _Plan, tail=None):
 
     Given tail, the plan's _fold_tail, the scan stops at the outer
     level: each prefix that enters it yields its number of points, from
-    _fold_count, and the levels from it on are not scanned.
+    _fold_count, and the levels from it on are not scanned.  When the
+    outer level is a pivot, its residue goes with the prefix.
     """
     levels, total, targets, pinned = plan.levels, plan.total, plan.targets, plan.pinned
     pin_weight, pin_terms, pin_const = plan.pin_weight, plan.pin_terms, plan.pin_const
@@ -508,8 +542,16 @@ def _scan(plan: _Plan, tail=None):
         a, b, a_in, a_out, b_in, b_out = levels[i]
         rem = rems[i]
         if step is None:
+            if i in pivots:
+                terms, r = pivots[i]
+                for level, c in terms:
+                    r -= c * vals[level]
+                r %= p
             if i == stop:
-                yield _fold_count(tail, rem, miss)
+                if i in pivots:
+                    yield _fold_count(tail, rem, miss, (r, p))
+                else:
+                    yield _fold_count(tail, rem, miss)
                 i -= 1
                 step = 1
                 continue
@@ -535,10 +577,6 @@ def _scan(plan: _Plan, tail=None):
                     lo = max(lo, value)
                     hi = min(hi, value)
                 if i in pivots:
-                    terms, r = pivots[i]
-                    for level, c in terms:
-                        r -= c * vals[level]
-                    r %= p
                     lo += (r - lo) % p
                     hi -= (hi - r) % p
             if lo > hi:
@@ -639,6 +677,8 @@ def count_points(system: FlowSystem) -> int:
     (_scan) visits every point; otherwise _fold_tail compiles the tail
     once for the engine the plan picks, merged frontier states
     (_count_frontier) or the DFS, and either stops at the outer level.
+    A congruence block keeps the DFS, and folds unless it makes the
+    pinned level a pivot.
     """
     plan = _plan(system)
     if plan.fold < 0:

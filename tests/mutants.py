@@ -48,6 +48,10 @@ FOLD_COUNTS = (
     "tests/test_properties.py::test_fold_count_matches_the_scan",
     "tests/test_lattice.py::test_count_stops_at_the_outer_level",
 )
+BLOCK_FOLD_COUNTS = (
+    "tests/test_lattice.py::test_block_counts_fold_exactly",
+    "tests/test_lattice.py::test_block_fold_with_incompatible_classes_counts_zero",
+)
 
 MUTANTS = (
     # the merged frontier (count by states)
@@ -84,6 +88,27 @@ MUTANTS = (
            "forms.append({-5: -1})",
            "pass",
            FOLD_COUNTS),
+    # the fold of a count with a congruence block
+    Mutant("fold drops the pivot's class", LATTICE,
+           "r, p = pivot",
+           "r, p = 0, 1",
+           BLOCK_FOLD_COUNTS),
+    Mutant("fold's CRT keeps only the pin's class", LATTICE,
+           "r0 += m * ((r - r0) * pow(m, -1, p) % p)\n                m *= p",
+           "pass",
+           BLOCK_FOLD_COUNTS),
+    Mutant("fold counts incompatible pin and pivot classes", LATTICE,
+           "elif (r0 - r) % p:",
+           "elif False:",
+           BLOCK_FOLD_COUNTS),
+    Mutant("fold applied when the pinned level is a pivot", LATTICE,
+           "if pivots is None or pinned in pivots:",
+           "if pivots is None:",
+           BLOCK_FOLD_COUNTS),
+    Mutant("fold's pivot residue off by one", LATTICE,
+           "yield _fold_count(tail, rem, miss, (r, p))",
+           "yield _fold_count(tail, rem, miss, (r + 1, p))",
+           BLOCK_FOLD_COUNTS),
     # the fit
     Mutant("reciprocity sign forced to +1", LATTICE,
            "return (-1) ** dim * count_points(FlowSystem(graph, -m, other))",
@@ -97,8 +122,8 @@ MUTANTS = (
             "tests/test_cli.py::test_fit_below_the_dimension_exits_3")),
     # the codebook path
     Mutant("bounded distance stops at equality", GRAMS,
-           "if up > bound:",
-           "if up >= bound:",
+           "if up > best:",
+           "if up >= best:",
            ("tests/test_properties.py::test_asym_distance_bound_contract",
             "tests/test_properties.py::test_decode_profile_matches_the_full_scan")),
     Mutant("intersection book skips its component check", CODEC,

@@ -155,6 +155,13 @@ def test_validation_error_exit_code(tmp_path, monkeypatch, capsys):
     head, *rows = book.read_text().splitlines()
     negative_book = tmp_path / "negative_book.txt"
     negative_book.write_text("\n".join([head, "15 -1 0 2 1 1 2 0", *rows]) + "\n")
+    # rows that no length-12 word has: they do not sum to 12 - 2 + 1
+    sum3_book = tmp_path / "sum3_book.txt"
+    sum3_book.write_text("12 2 2 full 2 intersection\n3 0 0 0\n")
+    sum1_book = tmp_path / "sum1_book.txt"
+    sum1_book.write_text("12 2 2 full 2 intersection\n0 1 0 0\n")
+    observed4 = tmp_path / "observed4.txt"
+    observed4.write_text("2 2 full 12\n0 1 1 0\n")
     # input that the checks refuse before any Hamiltonian search: a search
     # would run out of this budget and exit 3
     monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 5)
@@ -208,6 +215,9 @@ def test_validation_error_exit_code(tmp_path, monkeypatch, capsys):
         ("decode", "--codebook", str(book), "--profile", str(negative8)),
         ("rank-decode", "--q", "2", "--ell", "3", "--profile", str(negative_rank)),
         ("decode", "--codebook", str(negative_book), "--profile", str(observed)),
+        # codebook rows that are not the profile of a length-n word
+        ("decode", "--codebook", str(sum3_book), "--profile", str(observed4)),
+        ("decode", "--codebook", str(sum1_book), "--profile", str(observed4)),
         # m = 0, no loop, or a bad message on graphs without a quick cycle
         ("encode", "--set", "weight", "3", "5", "2", "1", "3", "--n", "2000", "--m", "0",
          "--message", "0"),

@@ -263,6 +263,22 @@ def test_decode_profile_noiseless():
     assert profile(result.word, S23).counts == target
 
 
+def test_decodes_of_one_book_build_its_graph_once(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return build_graph(s)
+
+    monkeypatch.setattr(codec, "build_graph", counted)
+    built = grc_intersect(build_code(11, tuple(range(1, 9)), 1), 20, S23)
+    book = parse_codebook_file(format_codebook_file(built))
+    calls.clear()
+    for u in book.codewords[:5]:
+        assert decode_profile(book, u).codeword == u
+    assert calls == [S23]
+
+
 def test_decode_profile_projects_foreign_mass():
     sw = build_weight_set(2, 3, 1, 1, 2)
     g = build_graph(sw)

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -290,6 +291,67 @@ def test_congruence_pin_weight_divisible_by_p():
             assert pin_weight == 2 and pinned in pivots
             points = enumerate_points(system)
             assert len(points) == 2 and points == block_filtered(system)
+
+
+# Gram sets whose plans have a fold level, with pin weights 1 to 4: the
+# fold level is the one free decision, or follows an outer one.
+BLOCK_FOLD_SETS = {
+    "full 2 3": S23,
+    "three loops": explicit_gram_set(3, 2, [(0, 0), (1, 1), (2, 2)]),
+    "weight 2": explicit_gram_set(2, 2, [(0, 0), (0, 1), (1, 0)]),
+    "weight 2, two free": explicit_gram_set(3, 2, [(0, 0), (1, 1), (1, 2), (2, 1)]),
+    "weight 3": explicit_gram_set(2, 3, [(0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+    "weight 3, two free": explicit_gram_set(3, 2, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)]),
+    "weight 4": explicit_gram_set(2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0),
+                                         (1, 1, 0)]),
+}
+
+
+def test_block_counts_fold_exactly():
+    # A seeded grid of random blocks on the sets above.  The grid meets
+    # each way a block count can go: the fold level a pivot (so the one
+    # pass), with the pin's class coprime to p or not; a block-free tail
+    # after the pivots, folded at two levels; and a pinned level that is
+    # a pivot, which scans every point.
+    rng = random.Random(12)
+    shapes = set()
+    for s in BLOCK_FOLD_SETS.values():
+        g = build_graph(s)
+        n = g.n_arcs
+        for p, mode, _ in product((2, 3, 5, 13), "FE", range(20)):
+            rows = tuple(tuple(rng.randrange(p) for _ in range(n))
+                         for _ in range(rng.randint(1, 2)))
+            block = CongruenceBlock(rows, p, tuple(rng.randrange(p) for _ in rows))
+            system = FlowSystem(g, rng.randint(0, 20) + (n if mode == "E" else 0), mode, block)
+            assert count_points(system) == len(enumerate_points(system))
+            plan = _plan(system)
+            pivots = plan.pivots or {}
+            if plan.fold in pivots:
+                shapes.add(("fold pivot", plan.pin_weight % p == 0))
+            elif plan.fold >= 0:
+                shapes.add(("block-free tail", plan.outer != plan.fold))
+            shapes.add(("pinned pivot", plan.pinned in pivots))
+            shapes.add(("pin weight", abs(plan.pin_weight)))
+    assert shapes >= {("fold pivot", False), ("fold pivot", True), ("block-free tail", True),
+                      ("pinned pivot", True)}
+    assert {w for shape, w in shapes if shape == "pin weight"} == {1, 2, 3, 4}
+
+
+def test_block_fold_with_incompatible_classes_counts_zero():
+    # a + b + 2c = M over the loops 00, 11 and the 2-cycle 12 21.  The
+    # pin gives b = M - a (mod 2) and the block's one row b = beta - a,
+    # both at the fold level b: the classes agree on every point when
+    # beta = M (mod 2) and on none otherwise.
+    g = build_graph(BLOCK_FOLD_SETS["weight 2, two free"])
+    for m in (10, 11):
+        plain = count_points(FlowSystem(g, m))
+        for beta in (0, 1):
+            system = FlowSystem(g, m, "F", CongruenceBlock(((1, 1, 0, 0),), 2, (beta,)))
+            plan = _plan(system)
+            assert plan.fold == plan.outer == 1 and plan.fold in plan.pivots
+            count = count_points(system)
+            assert count == len(enumerate_points(system))
+            assert count == (plain if (m - beta) % 2 == 0 else 0)
 
 
 def test_congruence_infeasible_beta_is_empty():
