@@ -258,8 +258,15 @@ def cmd_grc_build(args):
             raise ValueError("systematic grc needs --m")
         if args.code is not None:
             raise ValueError("--code does not apply to --method systematic")
-        # The messages are all of [m]^k, at asymmetric distance 1.
-        layout = codec.systematic_layout(graphs.build_graph(s), args.m)
+        # The messages are all of [m]^k, at asymmetric distance 1: the k
+        # info arcs are all but a Hamiltonian cycle's |V| and a loop, so
+        # m^k is refused before the cycle search, as a gram cube would be.
+        graph = graphs.build_graph(s)
+        k = graph.n_arcs - graph.n_nodes - 1
+        if args.m > 1 and args.m ** min(k, grams.MAX_CUBE.bit_length()) > grams.MAX_CUBE:
+            raise grams.CubeTooLarge(f"{args.m}**{k} messages exceed the cube guard of "
+                                     f"{grams.MAX_CUBE}")
+        layout = codec.systematic_layout(graph, args.m)
         words = product(range(args.m), repeat=len(layout.info_positions))
         book = codec.systematic_grc(words, layout, args.n, 1)
     emit("codewords", len(book))

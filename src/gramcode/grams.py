@@ -264,33 +264,29 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
     return ProfileVector(tuple(counts))
 
 
-def asym_distance(u, v, bound=None) -> int:
+def asym_distance(u, v) -> int:
     """Asymmetric distance: the larger of the one-sided difference sums
     sum max(u_i - v_i, 0) and sum max(v_i - u_i, 0).
 
     A metric on count vectors; for equal-sum vectors it equals half
-    the L1 distance.  Given a bound, the scan stops as soon as one sum
-    exceeds it: the distance is returned exactly when it is <= bound,
-    and otherwise some value > bound.  It is nearest_row on one row.
+    the L1 distance.  It is nearest_row on one row.
     """
-    index, dist, _ = nearest_row((tuple(u),), tuple(v), inf if bound is None else bound)
-    return dist if index == 0 else bound + 1
+    return nearest_row((tuple(u),), tuple(v))[1]
 
 
-def nearest_row(rows, v, bound=inf):
-    """The first of the rows nearest v in asymmetric distance, if within bound.
+def nearest_row(rows, v):
+    """The first of the rows nearest v in asymmetric distance.
 
     Returns (index, distance, tie), tie saying whether a later row is
-    at the same distance; index is -1, and the distance bound, when
-    every row is farther than bound.  Each row's one-sided sums stop as
-    soon as one exceeds the best distance so far (at first bound), so a
-    beaten row costs only the prefix that beats it; a row that ties is
-    measured in full.  The rows all have v's length, which is checked
-    once, on the first.
+    at the same distance; with no rows it is (-1, inf, False).  Each
+    row's one-sided sums stop as soon as one exceeds the best distance
+    so far, so a beaten row costs only the prefix that beats it; a row
+    that ties is measured in full.  The rows all have v's length, which
+    is checked once, on the first.
     """
     if rows and len(rows[0]) != len(v):
         raise ValueError(f"length mismatch {len(rows[0])} != {len(v)}")
-    best, index, tie = bound, -1, False
+    best, index, tie = inf, -1, False
     for i, u in enumerate(rows):
         up = down = 0
         for d in map(sub, u, v):
@@ -304,7 +300,7 @@ def nearest_row(rows, v, bound=inf):
                     break
         else:
             dist = up if up > down else down
-            if dist < best or index < 0 and dist <= best:
+            if dist < best:
                 best, index, tie = dist, i, False
             elif dist == best:
                 tie = True

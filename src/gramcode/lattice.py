@@ -60,11 +60,18 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .aecc import CongruenceBlock
 from .grams import GramSet
-from .graphs import DeBruijnGraph, build_graph, flow_dimension, net_outflow
+from .graphs import (
+    DeBruijnGraph,
+    SearchBudgetExceeded,
+    build_graph,
+    flow_dimension,
+    net_outflow,
+    simple_cycle_lengths,
+)
 
 BRUTE_FORCE_GUARD = 10**8
 
@@ -107,6 +114,17 @@ _Plan = namedtuple(
 )
 
 
+def _add(form, other, f):
+    """Add f times the affine form other to form, in place, and return form.
+
+    An affine form is {key: coefficient}; _plan, _fold_tail and
+    _block_pivots each say what their keys stand for.
+    """
+    for key, k in other.items():
+        form[key] = form.get(key, 0) + f * k
+    return form
+
+
 def _plan(system: FlowSystem) -> _Plan:
     """Presolve the system in one pass over the arc order.
 
@@ -134,8 +152,14 @@ def _plan(system: FlowSystem) -> _Plan:
     width counts those (their sum is fixed, so one fewer).  The frontier
     stops at the outer level, so it holds no pin; the width still counts
     one more from the first level the pin depends on up to the pinned
-    level, which keeps the engine choice the width was tuned with.  The
-    DFS searches one dimension per decision level, less the pinned one.
+    level, because that choice was measured the faster: over 903
+    block-free systems (full and weight sets and 500 seeded explicit
+    sets with q, ell <= 3 and at most 12 grams, at M = 14 or 24, both
+    modes) its engines took 1077 ms in all, against 1070 ms for the
+    faster engine of each system, 1207 ms for a width taken only before
+    the outer level, 1311 ms for the DFS alone and 1477 ms for the
+    frontier alone.  The DFS searches one dimension per decision level,
+    less the pinned one.
     The frontier count is chosen when the widest level boundary is
     narrower than that (full 3 2: 3 against 6), and never for a system
     with a block; the DFS counts every other system (full 2 3: 4
@@ -206,16 +230,15 @@ def _plan(system: FlowSystem) -> _Plan:
         a_closed = done[0] and done[1]
         b_closed = done[2] and done[3]
         if a_closed:
-            form = {key: -c for key, c in miss[a].items()}
+            form = _add({}, miss[a], -1)
         elif b_closed:
             form = dict(miss[b])
         else:
             decisions.append(i)
             form = {i: 1}
         if a != b:
-            for key, c in form.items():
-                miss[a][key] = miss[a].get(key, 0) + c
-                miss[b][key] = miss[b].get(key, 0) - c
+            _add(miss[a], form, 1)
+            _add(miss[b], form, -1)
             open_nodes.update((a, b))
             if a_closed:
                 open_nodes.discard(a)
@@ -228,8 +251,7 @@ def _plan(system: FlowSystem) -> _Plan:
     last_dec = decisions[-1] if decisions else len(arcs)
     pin = {}
     for form in forms[last_dec:]:
-        for key, c in form.items():
-            pin[key] = pin.get(key, 0) + c
+        _add(pin, form, 1)
     pin_const = pin.pop(-1, 0)
     pin_weight = pin.pop(last_dec, 0)
     pin_terms = [(level, w) for level, w in pin.items() if w]
@@ -259,36 +281,46 @@ def _fold_tail(plan: _Plan):
     miss, the pinned one divided by the pin weight W.  The prefix's
     points are the c1, c >= 0 whose tail is a point: every later value
     >= 0, a node closed from one end by a forced arc also balanced at
-    its other end, and the values summing to rem.  The sum solves the
-    pinned value P = N / W, with N affine; rows holding P are multiplied
-    by |W| to keep them integral, and W | N becomes a residue class of c
-    for each c1.  Without a pinned level the sum is a row.  An equality
-    is two rows, >= 0 and <= 0.  When the fold level is the only free
-    decision it is also the outer level: no value is c1, and the row
-    -c1 >= 0 leaves the one pass c1 = 0.  Each pair of a row that bounds
-    c from below and one that bounds it from above, c >= 0 among the
-    former, adds the combination free of c (Fourier-Motzkin): the c1
-    with an empty real interval of c fail it, so _fold_count's loop over
-    c1 seldom meets an empty one.
+    its other end, and the values summing to rem.  The ranges of c1 and
+    c start at 0, so c1 >= 0 and c >= 0 are not rows.  A level moves
+    balance between two nodes of one weak component of D(S), and the
+    targets are net outflows, so each component's missing balances sum
+    to 0 in every state; the arc that closes a component's last two
+    nodes balances the second once it balances the first, and that
+    check is not a row.  The sum solves the pinned value P = N / W, with
+    N affine; rows holding P are multiplied by |W| to keep them
+    integral, and W | N becomes a residue class of c for each c1.
+    Without a pinned level the sum is a row.  An equality is two rows,
+    >= 0 and <= 0.  When the fold level is the only free decision it is
+    also the outer level: no value is c1, and the row -c1 >= 0 leaves
+    the one pass c1 = 0.  Each pair of a row that bounds c from below
+    and one that bounds it from above, c >= 0 among the former, adds
+    the combination free of c (Fourier-Motzkin): the c1 with an empty
+    real interval of c fail it, so _fold_count's loop over c1 seldom
+    meets an empty one.
 
     Affine forms are {key: coefficient} with the keys v >= 0 for miss[v],
-    -1 for the constant, -2 for rem, -3 for c, -4 for P and -5 for c1.
-    A row is (constant, rem coefficient, ((v, coefficient), ...), c1
-    coefficient alpha, c coefficient beta); its form must be >= 0.
+    -2 for rem, -3 for c, -4 for P and -5 for c1; the state holds the
+    targets, so no form has a constant.  A row is (rem coefficient,
+    ((v, coefficient), ...), c1 coefficient alpha, c coefficient beta);
+    its form must be >= 0.
 
-    Returns (outer_rows, rows, pin).  outer_rows are the rows without c,
-    those without c1 first, so _fold_count can stop before reading c1;
-    rows are the others.  pin is None when there is no pinned level or W
-    is 1 or -1.  Otherwise it is (N's constant, rem coefficient, miss
-    terms and c1 coefficient, g, m, inv) for N's c coefficient B:
-    g = gcd(B, |W|), m = |W| / g, and inv is the inverse of B / g modulo
-    m (0 when m is 1).
+    Returns (rows, pin).  The rows free of c come first, those free of
+    c1 too before the others, so _fold_count narrows c1 before it reads
+    a row in c.  No row is repeated, and none is kept that holds on
+    every state: one without miss terms that holds at the corners of
+    0 <= c1, c, c1 + c <= rem, such as rem - c >= 0.  pin is None when
+    there is no pinned level or W is 1 or -1.  Otherwise it is (N's rem
+    coefficient, miss terms and c1 coefficient, g, m, inv) for N's c
+    coefficient B: g = gcd(B, |W|), m = |W| / g, and inv is the inverse
+    of B / g modulo m (0 when m is 1).
     """
-    def add(form, other, f):
-        for key, k in other.items():
-            form[key] = form.get(key, 0) + f * k
-
     levels, outer, fold, pinned = plan.levels, plan.outer, plan.fold, plan.pinned
+    part = {}  # node: the nodes of its weak component merged so far
+    for a, b, *_ in levels:
+        merged = part.get(a, {a}) | part.get(b, {b})
+        part.update(dict.fromkeys(merged, merged))
+    last = {min(part[a]): i for i, (a, b, *_) in enumerate(levels) if a != b}
     miss = {}
     total = {}
     forms = []  # each must be >= 0
@@ -303,73 +335,66 @@ def _fold_tail(plan: _Plan):
         elif i == pinned:
             value = {-4: 1}
         elif a_in and a_out:
-            value = {key: -k for key, k in miss[a].items()}
+            value = _add({}, miss[a], -1)
         else:
             value = dict(miss[b])
-        forms.append(value)
-        add(total, value, 1)
+        if i != fold and i != outer:
+            forms.append(value)
+        _add(total, value, 1)
         if a != b:
-            add(miss[a], value, 1)
-            add(miss[b], value, -1)
-            if a_in and a_out and b_in and b_out:
-                forms.append(dict(miss[b]))
-                forms.append({key: -k for key, k in miss[b].items()})
-    rest = {-2: 1}
-    add(rest, total, -1)
+            _add(miss[a], value, 1)
+            _add(miss[b], value, -1)
+            if a_in and a_out and b_in and b_out and last[min(part[a])] > i:
+                forms += [dict(miss[b]), _add({}, miss[b], -1)]
+    rest = _add({-2: 1}, total, -1)
     pin = None
     if pinned >= 0:
         # rest = N - W * P
         w = -rest.pop(-4)
-        sign = 1 if w > 0 else -1
-        w *= sign
+        sign, w = (1, w) if w > 0 else (-1, -w)
         for form in forms:
             k = form.pop(-4, 0)
             if k:
                 for key in form:
                     form[key] *= w
-                add(form, rest, k * sign)
+                _add(form, rest, k * sign)
         if w > 1:
             beta = rest.get(-3, 0)
             g = gcd(beta, w)
             m = w // g
-            pin = (*_fold_row(rest)[:4], g, m, pow(beta // g, -1, m) if m > 1 else 0)
+            pin = (*_fold_row(rest)[:3], g, m, pow(beta // g, -1, m))  # 0 when m is 1
     else:
-        forms.append(rest)
-        forms.append({key: -k for key, k in rest.items()})
+        forms += [rest, _add({}, rest, -1)]
     if outer == fold:
         forms.append({-5: -1})
     lows = [form for form in forms if form.get(-3, 0) > 0] + [{-3: 1}]
     for high in [form for form in forms if form.get(-3, 0) < 0]:
         for low in lows:
-            shadow = {}
-            add(shadow, low, -high[-3])
-            add(shadow, high, low[-3])
-            forms.append(shadow)
-    rows = []
-    for form in forms:
-        row = _fold_row(form)
-        # c1 >= 0 and c >= 0 start the ranges
-        if row not in rows and row not in ((0, 0, (), 1, 0), (0, 0, (), 0, 1)):
-            rows.append(row)
-    outer_rows = sorted((row for row in rows if not row[4]), key=lambda row: row[3] != 0)
-    return outer_rows, [row for row in rows if row[4]], pin
+            forms.append(_add(_add({}, low, -high[-3]), high, low[-3]))
+    rows = {}  # each row once, in order
+    for k_rem, terms, alpha, beta in map(_fold_row, forms):
+        if terms or min(k_rem, k_rem + alpha, k_rem + beta) < 0:
+            rows[k_rem, terms, alpha, beta] = None
+    return sorted(rows, key=lambda row: (row[3] != 0, row[2] != 0)), pin
 
 
 def _fold_row(form):
-    """A _fold_tail form as a row: (constant, rem coefficient, miss terms, alpha, beta)."""
+    """A _fold_tail form as a row: (rem coefficient, miss terms, alpha, beta)."""
     terms = tuple(sorted((key, k) for key, k in form.items() if key >= 0 and k))
-    return form.get(-1, 0), form.get(-2, 0), terms, form.get(-5, 0), form.get(-3, 0)
+    return form.get(-2, 0), terms, form.get(-5, 0), form.get(-3, 0)
 
 
 def _fold_count(tail, rem, miss, pivot=None):
     """Points of one prefix that enters the outer level: rem and miss on entry.
 
-    Intersects the interval of the outer value c1, from 0 and rem, with
-    each outer row in order and stops at the first that empties it.
-    Then, for each c1 in it, intersects the interval of the fold value
-    c, from 0 and rem - c1, with each other row, whose value moves by
-    its alpha per unit of c1, and counts the interval's members of the
-    pin's residue class (see _fold_tail).
+    One pass over the rows computes each row's value x on the state.  A
+    row free of c intersects the interval of the outer value c1, from 0
+    and rem, and the count stops at the first that empties it; every
+    other row is kept.  Then, for each c1 in the interval, the interval
+    of the fold value c, from 0 and rem - c1, is intersected with each
+    kept row, whose value moves by its alpha per unit of c1, and the
+    members of the pin's residue class in it are counted (see
+    _fold_tail).
 
     pivot is (r, p) when the fold level is a pivot of the plan's block:
     its value must be r mod p.  The fold level is then also the outer
@@ -379,16 +404,19 @@ def _fold_count(tail, rem, miss, pivot=None):
     they are the class r0 mod m when r0 = r mod p, and no c at all when
     not.  The loop counts that class as the pin's, with g = inv = 1.
     """
-    outer_rows, rows, pin = tail
+    rows, pin = tail
     if pivot is not None and pin is None:
-        pin = (0, 0, (), 0, 1, 1, 0)  # the pin's class: every c, c = 0 mod 1
+        pin = (0, (), 0, 1, 1, 0)  # the pin's class: every c, c = 0 mod 1
     lo, hi = 0, rem
-    for const, k_rem, terms, alpha, _ in outer_rows:
-        x = const + k_rem * rem
+    cut = []  # (x, alpha, beta): the row reads x + alpha * c1 + beta * c >= 0
+    for k_rem, terms, alpha, beta in rows:
+        x = k_rem * rem
         for v, k in terms:
             x += k * miss[v]
-        # the row reads x + alpha * c1 >= 0
-        if alpha > 0:
+        # a row free of c reads x + alpha * c1 >= 0
+        if beta:
+            cut.append((x, alpha, beta))
+        elif alpha > 0:
             lo = max(lo, -(x // alpha))
         elif alpha < 0:
             hi = min(hi, x // -alpha)
@@ -396,15 +424,9 @@ def _fold_count(tail, rem, miss, pivot=None):
             return 0
         if lo > hi:
             return 0
-    cut = []  # (x, alpha, beta): the row reads x + alpha * c1 + beta * c >= 0
-    for const, k_rem, terms, alpha, beta in rows:
-        x = const + k_rem * rem
-        for v, k in terms:
-            x += k * miss[v]
-        cut.append((x, alpha, beta))
     if pin is not None:
-        const, k_rem, terms, p_alpha, g, m, inv = pin
-        p_x = const + k_rem * rem
+        k_rem, terms, p_alpha, g, m, inv = pin
+        p_x = k_rem * rem
         for v, k in terms:
             p_x += k * miss[v]
         if pivot is not None:
@@ -449,13 +471,14 @@ def _block_pivots(block, forms, total, pinned, pin_weight):
 
     An equation here is an affine form in the decision levels, keyed as
     in _plan, that must vanish mod p.  Through the level forms, each
-    row of the plan's shifted block, with its residue, becomes one.
-    When p does not divide pin_weight, the total (the sum of the level
-    forms) removes the pinned decision from every row; otherwise it
-    stays a column.
+    row of the plan's shifted block, with its residue, becomes one, and
+    so does the total: the row of ones with the residue total.  When p
+    does not divide pin_weight, the total's equation removes the pinned
+    decision from every row; otherwise it stays a column.
     Elimination takes pivot columns from the latest decision backwards,
     so a pivot's equation holds only its pivot and earlier decisions,
     and the DFS knows the pivot's residue when it enters that level.
+    Coefficients are reduced mod p where zero ones are dropped.
 
     Returns {pivot level: (terms, residue)}: the pivot's value is
     congruent to residue minus c * (value of level j) for each (j, c)
@@ -463,26 +486,20 @@ def _block_pivots(block, forms, total, pinned, pin_weight):
     c != 0, which proves that no point satisfies the block.
     """
     p = block.p
-    def add(eq, form, f):
-        for key, c in form.items():
-            eq[key] = (eq.get(key, 0) + f * c) % p
-
     eqs = []
-    for row, r in zip(block.rows, block.beta):
-        eq = {-1: -r % p}
+    for row, r in zip((*block.rows, [1] * len(forms)), (*block.beta, total)):
+        eq = {-1: -r}
         for h, form in zip(row, forms):
-            add(eq, form, h)
+            _add(eq, form, h)
         eqs.append(eq)
+    total_eq = eqs.pop()
     if pinned >= 0 and pin_weight % p:
-        total_eq = {-1: -total % p}
-        for form in forms:
-            add(total_eq, form, 1)
         inv = pow(pin_weight, -1, p)
         for eq in eqs:
-            add(eq, total_eq, -eq.get(pinned, 0) * inv)
+            _add(eq, total_eq, -eq.get(pinned, 0) * inv)
     pivots = {}
     while True:
-        eqs = [eq for eq in ({k: c for k, c in eq.items() if c} for eq in eqs) if eq]
+        eqs = [eq for eq in ({k: c % p for k, c in eq.items() if c % p} for eq in eqs) if eq]
         if not eqs:
             return pivots
         col = max(max(eq) for eq in eqs)
@@ -492,7 +509,7 @@ def _block_pivots(block, forms, total, pinned, pin_weight):
         eqs.remove(eq)
         inv = pow(eq[col], -1, p)
         for other in eqs:
-            add(other, eq, -other.get(col, 0) * inv)
+            _add(other, eq, -other.get(col, 0) * inv)
         terms = [(j, c * inv % p) for j, c in eq.items() if j != col and j >= 0]
         pivots[col] = (terms, -eq.get(-1, 0) * inv % p)
 
@@ -548,10 +565,7 @@ def _scan(plan: _Plan, tail=None):
                     r -= c * vals[level]
                 r %= p
             if i == stop:
-                if i in pivots:
-                    yield _fold_count(tail, rem, miss, (r, p))
-                else:
-                    yield _fold_count(tail, rem, miss)
+                yield _fold_count(tail, rem, miss, (r, p) if i in pivots else None)
                 i -= 1
                 step = 1
                 continue
@@ -769,7 +783,7 @@ class QuasiPolynomial:
 
 
 class FitMismatch(RuntimeError):
-    """The held-out sample contradicts the fitted polynomial (wrong degree or period)."""
+    """The counts contradict the fitted polynomial (wrong degree or period)."""
 
 
 def _interpolate(t0, ys):
@@ -821,11 +835,21 @@ def fit_quasipolynomial(
     exactly.  When lam is a period, each class is a polynomial of
     degree exactly D or identically 0, so a degree k < D is fitted at D,
     with D's window, and FitMismatch is raised unless the coefficients
-    of t^(k+1)..t^D are all 0; the k+1 low ones are returned.  A wrong
-    period fails the check unless the counts happen to lie on a
-    polynomial of the fitted degree.  Otherwise {u > 0} misses P, mode
-    E counts no interior, and the samples are t = 1..degree+2 in the
-    given mode.
+    of t^(k+1)..t^D are all 0; the k+1 low ones are returned.  Otherwise
+    {u > 0} misses P, mode E counts no interior, and the samples are
+    t = 1..degree+2 in the given mode.
+
+    The period is proved, not trusted to the held-out count.  The
+    vertices of P are 1_C/|C| over the simple cycles C, so L, the lcm of
+    the simple-cycle lengths (graphs.simple_cycle_lengths), is a period
+    of both modes' counts.  When L divides lam nothing more is counted.
+    Otherwise, with g = gcd(lam, L), the counts on M = lam*t + residue
+    meet every class M = r' (mod L) with r' = residue (mod g), and they
+    are a polynomial in t only if those classes are one polynomial in M.
+    Each class is fitted at period L, as above, and FitMismatch is
+    raised unless all of them agree as polynomials in M.  When the
+    cycle search exceeds its budget, L is unknown and the held-out
+    count is the only check of the period.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
@@ -847,20 +871,39 @@ def fit_quasipolynomial(
     lowest = 1 if mode == "E" else 0
     other = "F" if mode == "E" else "E"
 
-    def sample(t):
-        m = lam * t + residue
-        if m >= lowest:
-            return count_points(FlowSystem(graph, m, mode))
-        return (-1) ** dim * count_points(FlowSystem(graph, -m, other))
+    def fit(lam, residue):
+        """The polynomial through the counts at ts but the last, checked there."""
+        counts = []
+        for t in ts:
+            m = lam * t + residue
+            if m >= lowest:
+                counts.append(count_points(FlowSystem(graph, m, mode)))
+            else:
+                counts.append((-1) ** dim * count_points(FlowSystem(graph, -m, other)))
+        poly = QuasiPolynomial(fitted, lam, residue, mode, _interpolate(ts[0], counts[:-1]), ts[-1])
+        predicted = poly.evaluate(ts[-1])
+        if predicted != counts[-1]:
+            raise FitMismatch(
+                f"held-out count at t={ts[-1]} is {counts[-1]}, fit predicts {predicted}"
+            )
+        return poly
 
-    counts = [sample(t) for t in ts]
-    coeffs = _interpolate(ts[0], counts[:-1])
-    poly = QuasiPolynomial(fitted, lam, residue, mode, coeffs, ts[-1])
-    predicted = poly.evaluate(ts[-1])
-    if predicted != counts[-1]:
-        raise FitMismatch(
-            f"held-out count at t={ts[-1]} is {counts[-1]}, fit predicts {predicted}"
-        )
+    coeffs = fit(lam, residue).coeffs
+    try:
+        period = lcm(*simple_cycle_lengths(graph))
+    except SearchBudgetExceeded:
+        period = lam  # L unknown: the held-out count stays the only check
+    if lam % period:
+        g = gcd(lam, period)
+        classes = [fit(period, r) for r in range(residue % g, period, g)]
+        # each class's values at M = 0..fitted fix it as a polynomial in M
+        in_m = [[c.evaluate(Fraction(m - c.residue, period)) for m in range(fitted + 1)]
+                for c in classes]
+        if any(values != in_m[0] for values in in_m):
+            raise FitMismatch(
+                f"lambda {lam} is not a period: the classes M = {residue % g} (mod {g}) "
+                f"of the proven period {period} are not one polynomial in M"
+            )
     if any(coeffs[degree + 1 :]):
         top = max(k for k, c in enumerate(coeffs) if c)
         raise FitMismatch(

@@ -48,6 +48,11 @@ FOLD_COUNTS = (
     "tests/test_properties.py::test_fold_count_matches_the_scan",
     "tests/test_lattice.py::test_count_stops_at_the_outer_level",
 )
+FIT_PERIODS = (
+    "tests/test_lattice.py::test_fit_proves_its_period",
+    "tests/test_cli.py::test_fit_at_a_wrong_period_exits_3",
+    "tests/test_properties.py::test_every_accepted_fit_matches_the_counts",
+)
 BLOCK_FOLD_COUNTS = (
     "tests/test_lattice.py::test_block_counts_fold_exactly",
     "tests/test_lattice.py::test_block_fold_with_incompatible_classes_counts_zero",
@@ -88,6 +93,18 @@ MUTANTS = (
            "forms.append({-5: -1})",
            "pass",
            FOLD_COUNTS),
+    Mutant("fold drops the closure row of a node not last in its component", LATTICE,
+           "if a_in and a_out and b_in and b_out and last[min(part[a])] > i:",
+           "if False:",
+           FOLD_COUNTS),
+    Mutant("fold compiles the closure row of a component's last node", LATTICE,
+           "last[min(part[a])] > i:",
+           "last[min(part[a])] >= i:",
+           ("tests/test_lattice.py::test_no_tail_row_holds_in_every_state",)),
+    Mutant("fold keeps the rows that hold on every state", LATTICE,
+           "if terms or min(k_rem, k_rem + alpha, k_rem + beta) < 0:",
+           "if True:",
+           ("tests/test_lattice.py::test_no_tail_row_holds_in_every_state",)),
     # the fold of a count with a congruence block
     Mutant("fold drops the pivot's class", LATTICE,
            "r, p = pivot",
@@ -106,15 +123,27 @@ MUTANTS = (
            "if pivots is None:",
            BLOCK_FOLD_COUNTS),
     Mutant("fold's pivot residue off by one", LATTICE,
-           "yield _fold_count(tail, rem, miss, (r, p))",
-           "yield _fold_count(tail, rem, miss, (r + 1, p))",
+           "(r, p) if i in pivots else None",
+           "(r + 1, p) if i in pivots else None",
            BLOCK_FOLD_COUNTS),
     # the fit
     Mutant("reciprocity sign forced to +1", LATTICE,
-           "return (-1) ** dim * count_points(FlowSystem(graph, -m, other))",
-           "return count_points(FlowSystem(graph, -m, other))",
+           "counts.append((-1) ** dim * count_points(FlowSystem(graph, -m, other)))",
+           "counts.append(count_points(FlowSystem(graph, -m, other)))",
            ("tests/test_properties.py::test_fit_matches_the_same_mode_fit",
             "tests/test_cli.py::test_fit_output_is_golden_but_for_the_held_out_t")),
+    Mutant("fit skips its period proof", LATTICE,
+           "if lam % period:",
+           "if False:",
+           FIT_PERIODS),
+    Mutant("fit's period proof takes the lcm for the gcd", LATTICE,
+           "g = gcd(lam, period)",
+           "g = lcm(lam, period)",
+           FIT_PERIODS),
+    Mutant("fit's period proof compares only the first class", LATTICE,
+           "if any(values != in_m[0] for values in in_m):",
+           "if any(values != in_m[0] for values in in_m[:1]):",
+           FIT_PERIODS),
     Mutant("a fit below the dimension keeps its low coefficients", LATTICE,
            "if any(coeffs[degree + 1 :]):",
            "if False:",
@@ -124,8 +153,7 @@ MUTANTS = (
     Mutant("bounded distance stops at equality", GRAMS,
            "if up > best:",
            "if up >= best:",
-           ("tests/test_properties.py::test_asym_distance_bound_contract",
-            "tests/test_properties.py::test_decode_profile_matches_the_full_scan")),
+           ("tests/test_properties.py::test_decode_profile_matches_the_full_scan",)),
     Mutant("intersection book skips its component check", CODEC,
            "if points and len(strongly_connected_components(graph)) > 1:",
            "if False:",
@@ -134,7 +162,7 @@ MUTANTS = (
 
 EQUIVALENT = (
     Equivalent("fold without its Fourier-Motzkin rows", LATTICE,
-               "forms.append(shadow)",
+               "forms.append(_add(_add({}, low, -high[-3]), high, low[-3]))",
                "pass",
                "pure pruning: a c1 whose real interval of c is empty counts 0 without them"),
     Equivalent("fold starts c's upper bound at rem", LATTICE,

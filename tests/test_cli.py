@@ -85,6 +85,19 @@ def test_fit_below_the_dimension_exits_3(capsys):
     assert len(lines) == 1 and lines[0].startswith("error degree 0 is below")
 
 
+def test_fit_at_a_wrong_period_exits_3(tmp_path, capsys):
+    # full 3 2 less the gram 12 has period 6; at lambda 5 the held-out
+    # count alone would pass a fit that is wrong at t = 3
+    set_path = tmp_path / "set.txt"
+    set_path.write_text("3 2\n00 01 02 10 11 20 21 22\n")
+    status, out = run_cli("fit", "--set", "explicit", str(set_path), "--degree", "5",
+                          "--lambda", "5", "--residue", "1")
+    assert status == 3
+    assert "coeff" not in out
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error lambda 5 is not a period")
+
+
 def test_repeat_runs_are_byte_identical():
     args = ("enumerate", "--set", "weight", "2", "4", "1", "2", "3",
             "--n", "12", "--mode", "E", "--points")
@@ -259,6 +272,9 @@ def test_module_entry_point_reports_bad_file(tmp_path):
     ("enumerate", "--set", "full", "5", "9", "--n", "3"),
     ("graph-info", "--set", "weight", "4", "11", "2", "1", "3"),
     ("simulate", "--word", "ATGCATGCAATTGGCCATGCAATGC", "--q", "4", "--ell", "14", "--seed", "1"),
+    # 2**31 messages: full 2 6 has 64 - 32 - 1 info arcs
+    ("grc-build", "--method", "systematic", "--set", "full", "2", "6", "--n", "2000", "--m", "2",
+     "--out", os.devnull),
 ])
 def test_huge_cube_fails_fast(argv, capsys):
     start = time.perf_counter()

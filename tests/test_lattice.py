@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from gramcode import lattice
+from gramcode import graphs, lattice
+from gramcode.aecc import build_code
 from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
 from gramcode.graphs import build_graph
 from gramcode.lattice import (
@@ -130,9 +131,9 @@ def test_frontier_merges_exactly_the_scan_states(monkeypatch, s, m, mode):
     calls = []
     fold_count = lattice._fold_count
 
-    def recorded(tail, rem, miss):
+    def recorded(tail, rem, miss, pivot=None):
         calls.append((rem, tuple(miss)))
-        return fold_count(tail, rem, miss)
+        return fold_count(tail, rem, miss, pivot)
 
     monkeypatch.setattr(lattice, "_fold_count", recorded)
     plan = _plan(FlowSystem(build_graph(s), m, mode))
@@ -307,14 +308,9 @@ BLOCK_FOLD_SETS = {
 }
 
 
-def test_block_counts_fold_exactly():
-    # A seeded grid of random blocks on the sets above.  The grid meets
-    # each way a block count can go: the fold level a pivot (so the one
-    # pass), with the pin's class coprime to p or not; a block-free tail
-    # after the pivots, folded at two levels; and a pinned level that is
-    # a pivot, which scans every point.
+def block_fold_grid():
+    """A seeded grid of random blocks on the sets above, as systems."""
     rng = random.Random(12)
-    shapes = set()
     for s in BLOCK_FOLD_SETS.values():
         g = build_graph(s)
         n = g.n_arcs
@@ -322,16 +318,26 @@ def test_block_counts_fold_exactly():
             rows = tuple(tuple(rng.randrange(p) for _ in range(n))
                          for _ in range(rng.randint(1, 2)))
             block = CongruenceBlock(rows, p, tuple(rng.randrange(p) for _ in rows))
-            system = FlowSystem(g, rng.randint(0, 20) + (n if mode == "E" else 0), mode, block)
-            assert count_points(system) == len(enumerate_points(system))
-            plan = _plan(system)
-            pivots = plan.pivots or {}
-            if plan.fold in pivots:
-                shapes.add(("fold pivot", plan.pin_weight % p == 0))
-            elif plan.fold >= 0:
-                shapes.add(("block-free tail", plan.outer != plan.fold))
-            shapes.add(("pinned pivot", plan.pinned in pivots))
-            shapes.add(("pin weight", abs(plan.pin_weight)))
+            yield FlowSystem(g, rng.randint(0, 20) + (n if mode == "E" else 0), mode, block)
+
+
+def test_block_counts_fold_exactly():
+    # The grid meets each way a block count can go: the fold level a
+    # pivot (so the one pass), with the pin's class coprime to p or not;
+    # a block-free tail after the pivots, folded at two levels; and a
+    # pinned level that is a pivot, which scans every point.
+    shapes = set()
+    for system in block_fold_grid():
+        p = system.congruence.p
+        assert count_points(system) == len(enumerate_points(system))
+        plan = _plan(system)
+        pivots = plan.pivots or {}
+        if plan.fold in pivots:
+            shapes.add(("fold pivot", plan.pin_weight % p == 0))
+        elif plan.fold >= 0:
+            shapes.add(("block-free tail", plan.outer != plan.fold))
+        shapes.add(("pinned pivot", plan.pinned in pivots))
+        shapes.add(("pin weight", abs(plan.pin_weight)))
     assert shapes >= {("fold pivot", False), ("fold pivot", True), ("block-free tail", True),
                       ("pinned pivot", True)}
     assert {w for shape, w in shapes if shape == "pin weight"} == {1, 2, 3, 4}
@@ -352,6 +358,57 @@ def test_block_fold_with_incompatible_classes_counts_zero():
             count = count_points(system)
             assert count == len(enumerate_points(system))
             assert count == (plain if (m - beta) % 2 == 0 else 0)
+
+
+def holds_in_every_state(plan, row, component):
+    """Whether a _fold_tail row holds whatever state enters the outer level.
+
+    Only the identities that every state meets are assumed: a node with
+    no non-loop arc from the outer level on is closed, so its missing
+    balance is 0; each weak component's balances sum to 0; and 0 <= c1,
+    c with c1 + c <= rem.  The row's miss terms are then constant when
+    their coefficients agree on the other nodes of each component, and
+    its rest, linear in rem, c1 and c, is >= 0 on that triangle when it
+    is at the corners.
+    """
+    k_rem, terms, alpha, beta = row
+    coefficient = dict(terms)
+    live = {v for a, b, *_ in plan.levels[plan.outer:] if a != b for v in (a, b)}
+    parts = {}
+    for v in live:
+        parts.setdefault(component[v], set()).add(coefficient.get(v, 0))
+    flat = all(len(ks) == 1 for ks in parts.values())
+    return flat and min(k_rem, k_rem + alpha, k_rem + beta) >= 0
+
+
+def weak_components(graph):
+    """Each node's weak component of D(S), as its smallest node."""
+    component = list(range(graph.n_nodes))
+    for _ in range(graph.n_nodes):
+        for a, b in zip(graph.arc_init, graph.arc_term):
+            component[a] = component[b] = min(component[a], component[b])
+    return component
+
+
+def test_no_tail_row_holds_in_every_state():
+    # the bench's four fit tails, its mod-13 block tail, the two-component
+    # set and the seeded fold grid; each bench tail keeps these rows free of c
+    code = build_code(13, (1, 2, 3, 5, 8, 10, 11, 12), 2)
+    bench = [FlowSystem(build_graph(s), 0) for s in (S22, S23, SW, S32)]
+    bench.append(flow_system_for_words(build_graph(S23), 120, "E",
+                                       CongruenceBlock(code.rows, code.p, code.beta)))
+    two = FlowSystem(build_graph(explicit_gram_set(4, 2, [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])), 0)
+    c_free = []
+    for system in [*bench, two, *block_fold_grid()]:
+        plan = _plan(system)
+        if plan.fold < 0:
+            continue
+        rows, _ = lattice._fold_tail(plan)
+        component = weak_components(system.graph)
+        assert not [row for row in rows if holds_in_every_state(plan, row, component)]
+        c_free.append(sum(not row[3] for row in rows))
+    assert c_free[:6] == [2, 4, 9, 3, 5, 2]
 
 
 def test_congruence_infeasible_beta_is_empty():
@@ -394,6 +451,33 @@ def test_fit_rejects_a_wrong_period():
     # counts 1, 2, 4 at M = 0, 1, 2: the line through t = 0, 1 misses t = 2
     with pytest.raises(FitMismatch):
         fit_quasipolynomial(S22, 1, 1)
+
+
+# full 3 2 less the gram 12: D = 5, simple cycles of lengths 1, 2 and 3
+S32_LESS_12 = explicit_gram_set(3, 2, [g for g in S32.grams if g != (1, 2)])
+
+
+def test_fit_proves_its_period():
+    # The period is 6, and at lambda 5 the six classes mod 6 are not one
+    # polynomial, though the 7 samples lie on one: the held-out check
+    # alone returns a fit that gives 2724 at t = 3, where the count is 2730.
+    assert count_points(FlowSystem(build_graph(S32_LESS_12), 16)) == 2730
+    with pytest.raises(FitMismatch, match="lambda 5 is not a period"):
+        fit_quasipolynomial(S32_LESS_12, 5, 5, "F", 1)
+    # one 4-cycle: an odd total has no point, so lambda 2 is a period of
+    # residue 1 (the classes 1 and 3 mod 4 are both 0) but not of residue 0
+    cycle = explicit_gram_set(2, 3, [(0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0)])
+    for mode in "FE":
+        assert fit_quasipolynomial(cycle, 0, 2, mode, 1).coeffs == (0,)
+        with pytest.raises(FitMismatch):
+            fit_quasipolynomial(cycle, 0, 2, mode, 0)
+
+
+def test_fit_without_a_proven_period_keeps_the_held_out_check(monkeypatch):
+    # the cycle search gives up, so L is unknown and the held-out count,
+    # which these samples pass, is the fit's only check of the period
+    monkeypatch.setattr(graphs, "CYCLE_SEARCH_BUDGET", 0)
+    assert fit_quasipolynomial(S32_LESS_12, 5, 5, "F", 1).evaluate(3) == 2724
 
 
 def test_fit_samples_the_smallest_dilations(table_fits):
