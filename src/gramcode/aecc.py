@@ -15,6 +15,7 @@ Membership and sizing are plain modular arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from operator import mul
 
@@ -30,12 +31,18 @@ class AmbiguousDecode(DecodeFailure):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit integers."""
+    """Deterministic Miller-Rabin, valid for all 64-bit integers.
+
+    Trial division by the witnesses, primes up to 37, settles every
+    n < 41**2: a composite below that has a prime factor at most 37.
+    """
     if n < 2:
         return False
     for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -125,8 +132,13 @@ def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
         raise ValueError("need at least one parity row")
     if not alphas or len(set(alphas)) != n or 0 in alphas:
         raise ValueError("alphas must be nonempty, distinct and nonzero mod p")
-    rows = tuple(tuple(pow(a, j + 1, p) for a in alphas) for j in range(d))
-    return VarshamovCode(rows, p, (0,) * d if beta is None else beta, alphas)
+    return VarshamovCode(_power_rows(p, alphas, d), p, (0,) * d if beta is None else beta, alphas)
+
+
+@cache
+def _power_rows(p: int, alphas: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..d of alphas' powers mod p, shared by every coset of one code."""
+    return tuple(tuple(pow(a, j + 1, p) for a in alphas) for j in range(d))
 
 
 def code_size_ambient(code: CongruenceBlock, m: int) -> int:

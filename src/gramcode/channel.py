@@ -18,7 +18,7 @@ occurrence indices (relative to the survivors in position order) as a
 k-of-n sample, then per occurrence in ascending order a position in the
 gram and a different symbol there.  k-of-n sampling is a partial
 Fisher-Yates over range(n), and every bounded draw uses rejection on
-64-bit splitmix output.
+64-bit splitmix output, so a bound above 2**64 is refused.
 
 Also here: the support-only and rank-only readout helpers, the exact
 count of distinct gram supports for short binary words, and the
@@ -53,9 +53,11 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection (no modulo bias)."""
+        """Uniform integer in [0, n), by rejection (no modulo bias); n <= 2**64."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        if n > _MASK + 1:
+            raise ValueError(f"below() bound {n} exceeds 2**64")
         limit = _MASK + 1 - ((_MASK + 1) % n)
         while True:
             x = self.next64()
@@ -63,14 +65,20 @@ class Splitmix64:
                 return x % n
 
     def sample(self, n: int, k: int) -> list[int]:
-        """k distinct values from range(n): partial Fisher-Yates, sorted."""
+        """k distinct values from range(n): partial Fisher-Yates, sorted.
+
+        The pool range(n) is kept as the entries its swaps moved, so a
+        sample costs O(k) whatever n is.
+        """
         if k > n:
             raise ValueError(f"cannot sample {k} of {n}")
-        pool = list(range(n))
+        moved: dict[int, int] = {}
+        picked = []
         for i in range(k):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(picked)
 
 
 @dataclass(frozen=True)

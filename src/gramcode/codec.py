@@ -54,10 +54,8 @@ def euler_word(counts, s: GramSet, graph: DeBruijnGraph | None = None) -> Word:
         raise ValueError(f"expected {len(s)} counts, got {len(counts)}")
     graph = graph or build_graph(s)
     walk = eulerian_walk(graph, counts)
-    symbols = list(graph.nodes[walk[0]])
-    for v in walk[1:]:
-        symbols.append(graph.nodes[v][-1])
-    return Word(tuple(symbols), s.q)
+    nodes = graph.nodes
+    return Word(nodes[walk[0]] + tuple(nodes[v][-1] for v in walk[1:]), s.q)
 
 
 def rotation_start(values) -> int:

@@ -154,12 +154,16 @@ def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
 
     `multiplicities[a]` is how many times arc a must be traversed.  The
     multiset must be balanced (closed walk) or have exactly one node of
-    out-surplus 1 and one of in-surplus 1 (open walk).  Tie-break: keep
-    a stack seeded with the start node; while the top node has unused
-    out-arcs, follow the arc with the lexicographically smallest
-    terminal node; otherwise pop to the output; finally reverse.  For a
-    closed walk the start is the smallest node with positive out-degree;
-    for an open walk it is the out-surplus node.
+    out-surplus 1 and one of in-surplus 1 (open walk).  Hierholzer's
+    walk with a fixed tie-break: each node gets a successor stack, the
+    terminals of its out-arcs each repeated by its multiplicity, largest
+    on the bottom, so a pop takes the arc with the lexicographically
+    smallest terminal node among those still unused.  A path stack
+    seeded with the start node follows popped successors until its top
+    has none left, then moves that top to the output; the reversed
+    output is the walk.  For a closed walk the start is the smallest
+    node with positive out-degree; for an open walk it is the
+    out-surplus node.
     """
     mult = list(multiplicities)
     if len(mult) != graph.n_arcs:
@@ -179,26 +183,20 @@ def eulerian_walk(graph: DeBruijnGraph, multiplicities) -> list[int]:
     else:
         raise ValueError("arc multiset is neither balanced nor a single open walk")
 
-    out = graph.out_adj
-    cursor = [0] * graph.n_nodes
-
+    term = graph.arc_term
+    left = [
+        [term[a] for a in reversed(arcs) for _ in range(mult[a])] for arcs in graph.out_adj
+    ]
     stack = [start]
     output: list[int] = []
-    remaining = mult[:]
     while stack:
-        v = stack[-1]
-        arcs = out[v]
-        i = cursor[v]
-        while i < len(arcs) and remaining[arcs[i]] == 0:
-            i += 1
-        cursor[v] = i
-        if i < len(arcs):
-            a = arcs[i]
-            remaining[a] -= 1
-            stack.append(graph.arc_term[a])
-        else:
-            output.append(stack.pop())
-    if any(remaining):
+        succ = left[stack[-1]]
+        while succ:
+            v = succ.pop()
+            stack.append(v)
+            succ = left[v]
+        output.append(stack.pop())
+    if len(output) != total + 1:
         raise ValueError("arc support is disconnected; no single walk covers it")
     output.reverse()
     return output

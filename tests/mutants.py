@@ -38,6 +38,9 @@ Equivalent = namedtuple("Equivalent", "name file old new reason")
 LATTICE = "gramcode/lattice.py"
 CODEC = "gramcode/codec.py"
 GRAMS = "gramcode/grams.py"
+GRAPHS = "gramcode/graphs.py"
+AECC = "gramcode/aecc.py"
+CHANNEL = "gramcode/channel.py"
 FRONTIER_COUNTS = (
     "tests/test_properties.py::test_fold_count_on_each_tail_shape",
     "tests/test_properties.py::test_frontier_count_matches_the_scan",
@@ -158,6 +161,30 @@ MUTANTS = (
            "if points and len(strongly_connected_components(graph)) > 1:",
            "if False:",
            ("tests/test_codec.py::test_grc_intersect_refuses_a_disconnected_support",)),
+    # the storage message path
+    Mutant("successor stacks built smallest terminal first", GRAPHS,
+           "for a in reversed(arcs)",
+           "for a in arcs",
+           ("tests/test_graphs.py::test_eulerian_walk_matches_the_cursor_scan",)),
+    Mutant("walk skips its every-arc-used check", GRAPHS,
+           "if len(output) != total + 1:",
+           "if False:",
+           ("tests/test_graphs.py::test_eulerian_walk_matches_the_cursor_scan",
+            "tests/test_graphs.py::test_eulerian_walk_rejects_bad_multisets")),
+    Mutant("primality by trial division up to 43 squared", AECC,
+           "if n < 41 * 41:",
+           "if n < 43 * 43:",
+           ("tests/test_aecc.py::test_primality_against_sieve",)),
+    # a decorator memoising on (p, alphas) alone
+    Mutant("power rows cached without d in the key", AECC,
+           "@cache\ndef _power_rows(",
+           "@lambda f: lambda p, alphas, d, rows={}: rows.setdefault((p, alphas), f(p, alphas, d))"
+           "\ndef _power_rows(",
+           ("tests/test_aecc.py::test_build_code_rows_follow_d",)),
+    Mutant("sample forgets where an earlier swap moved i", CHANNEL,
+           "moved[j] = moved.get(i, i)",
+           "moved[j] = i",
+           ("tests/test_channel.py::test_sample_matches_the_list_fisher_yates",)),
 )
 
 EQUIVALENT = (

@@ -265,3 +265,66 @@ def integer_rank(matrix) -> int:
 def node_label(graph, v) -> str:
     """Node v of D(S) as its (ell-1)-gram's digit string."""
     return "".join(map(str, graph.nodes[v]))
+
+
+def cursor_walk(graph, multiplicities) -> list[int]:
+    """Oracle: the Eulerian walk by a cursor scan over each node's out-arcs.
+
+    Same contract and tie-break as graphs.eulerian_walk: at the top of
+    the path stack, follow the first arc in out_adj order (ascending
+    terminal node) with a traversal left, else pop the node to the
+    output; any arc left over means a disconnected support.
+    """
+    mult = list(multiplicities)
+    if len(mult) != graph.n_arcs:
+        raise ValueError("one multiplicity per arc required")
+    if any(m < 0 for m in mult):
+        raise ValueError("negative multiplicity")
+    total = sum(mult)
+    if total == 0:
+        raise ValueError("empty multigraph")
+
+    # The nodes with nonzero surplus, as (surplus, node) pairs.
+    ends = sorted((s, v) for v, s in enumerate(net_outflow(graph, mult)) if s)
+    if not ends:
+        start = min(graph.arc_init[a] for a, m in enumerate(mult) if m)
+    elif [s for s, _v in ends] == [-1, 1]:
+        start = ends[1][1]
+    else:
+        raise ValueError("arc multiset is neither balanced nor a single open walk")
+
+    out = graph.out_adj
+    cursor = [0] * graph.n_nodes
+
+    stack = [start]
+    output: list[int] = []
+    remaining = mult[:]
+    while stack:
+        v = stack[-1]
+        arcs = out[v]
+        i = cursor[v]
+        while i < len(arcs) and remaining[arcs[i]] == 0:
+            i += 1
+        cursor[v] = i
+        if i < len(arcs):
+            a = arcs[i]
+            remaining[a] -= 1
+            stack.append(graph.arc_term[a])
+        else:
+            output.append(stack.pop())
+    if any(remaining):
+        raise ValueError("arc support is disconnected; no single walk covers it")
+    output.reverse()
+    return output
+
+
+def list_sample(rng, n, k) -> list[int]:
+    """Oracle: k of range(n) by a partial Fisher-Yates over the whole list,
+    drawing from rng.below exactly as Splitmix64.sample does; sorted."""
+    if k > n:
+        raise ValueError(f"cannot sample {k} of {n}")
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])

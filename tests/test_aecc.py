@@ -35,6 +35,8 @@ def test_primality_against_sieve():
     flags = sieve(10**4)
     for n in range(10**4 + 1):
         assert is_prime(n) == bool(flags[n])
+    # the first composites with no prime factor up to 37, past the trial bound
+    assert not is_prime(41 * 41) and not is_prime(41 * 43)
 
 
 def test_choose_prime_values():
@@ -50,6 +52,16 @@ def test_choose_prime_dominates_both_arguments():
         n, d = rng.randint(1, 400), rng.randint(1, 60)
         p = choose_prime(n, d)
         assert p > n and p > d and flags[p]
+
+
+def test_build_code_rows_follow_d():
+    # the power rows are cached per (p, alphas, d): a code of one d must
+    # not get the rows cached for another
+    alphas = (1, 2, 3, 5, 8)
+    for d in (1, 3, 2, 4, 1):
+        code = build_code(13, alphas, d, beta=(1,) * d)
+        assert code.rows == tuple(tuple(a ** (j + 1) % 13 for a in alphas) for j in range(d))
+        assert code.beta == (1,) * d
 
 
 def test_build_code_known_matrices():

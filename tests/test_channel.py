@@ -18,7 +18,7 @@ from gramcode.channel import (
 )
 from gramcode.grams import ChannelBudget, CubeTooLarge, full_gram_set, parse_dna, profile, word
 from gramcode.graphs import SearchBudgetExceeded, build_graph
-from oracles import brute_force_support_count
+from oracles import brute_force_support_count, list_sample
 
 
 def full_profile(x, ell):
@@ -34,6 +34,24 @@ def test_rng_determinism_and_range():
     assert Splitmix64(1).sample(5, 5) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
         Splitmix64(1).sample(3, 4)
+
+
+def test_sample_matches_the_list_fisher_yates():
+    cases = [(n, k) for n in range(9) for k in range(n + 1)]
+    cases += [(260, 0), (259, 2), (200, 200), (1000, 37)]
+    for seed, (n, k) in enumerate(cases):
+        a, b = Splitmix64(seed), Splitmix64(seed)
+        assert a.sample(n, k) == list_sample(b, n, k)
+        assert a.state == b.state  # the same draws, in the same order
+
+
+def test_below_refuses_bounds_past_2_64():
+    # 2**64 takes one 64-bit draw as it is; past it no rejection limit exists
+    assert Splitmix64(5).below(2**64) == Splitmix64(5).next64()
+    rng = Splitmix64(5)
+    with pytest.raises(ValueError, match="exceeds 2"):
+        rng.below(2**64 + 1)
+    assert rng.state == 5
 
 
 def test_reference_error_pattern():

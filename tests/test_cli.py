@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -251,19 +252,34 @@ def test_validation_error_exit_code(tmp_path, monkeypatch, capsys):
             assert line.startswith(("format ", "command ", "config ")), (argv, line)
 
 
-def test_module_entry_point_reports_bad_file(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
+def run_module(*argv):
+    """`python -m gramcode.cli argv` on this checkout's src/, killed after 10 s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gramcode.cli", "graph-info", "--set", "explicit", str(empty)],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "gramcode.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
     )
+
+
+def test_module_entry_point_reports_bad_file(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    proc = run_module("graph-info", "--set", "explicit", str(empty))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error ")
+
+
+def test_simulate_refuses_a_budget_past_2_64():
+    # --at-most draws each budget b uniformly from 0..b, and no 64-bit
+    # rejection draw covers more than 2**64 values
+    argv = ["simulate", "--word", "0110", "--q", "2", "--ell", "2", "--seed", "1", "--at-most"]
+    for budget in ("--t", "--ssyn", "--sseq"):
+        proc = run_module(*argv, budget, str(2**64))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -654,5 +670,64 @@ def test_enumerate_fuzz_exits_cleanly(tmp_path_factory):
         status, out = assert_clean_exit(argv)
         if status == 0 and "--points" in argv:
             assert out.count("\npoint ") == int(grab(out, "count"))
+
+    run()
+
+
+class Hung(Exception):
+    """A command ran past its alarm; main() does not catch this."""
+
+
+def _raise_hung(signum, frame):
+    raise Hung
+
+
+@st.composite
+def simulate_argvs(draw):
+    """A `simulate` argv: a digit word of length 1..12 over q in 1..5 (a
+    symbol sometimes out of range), ell mostly inside the word, budgets
+    mostly 0..3, else up to 2**70 or next to 2**64 (some negative), and
+    --at-most or not."""
+    q = draw(st.sampled_from([2, 2, 3, 4, 5, 1]))
+    top = q if not draw(st.integers(0, 9)) else q - 1
+    word = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+    ell = draw(st.one_of(st.integers(1, len(word)), st.integers(-1, 14)))
+    budgets = []
+    for flag in ("--ssyn", "--t", "--sseq"):
+        kind = draw(st.integers(0, 5))
+        if kind < 4:
+            value = draw(st.integers(0, 3))
+        elif kind == 4:
+            value = draw(st.integers(0, 2**70))
+        else:
+            value = draw(st.sampled_from([2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, -1]))
+        budgets += [flag, str(value)]
+    argv = ["simulate", "--word", "".join(map(str, word)), "--q", str(q),
+            "--ell", str(ell), *budgets, "--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    if draw(st.booleans()):
+        argv.append("--at-most")
+    return argv
+
+
+def test_simulate_fuzz_exits_cleanly():
+    # hypothesis's deadline only judges a call that returns, so an alarm
+    # turns a hang into a failure
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=timedelta(seconds=5))
+    @given(simulate_argvs())
+    def run(argv):
+        previous = signal.signal(signal.SIGALRM, _raise_hung)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            status, out = assert_clean_exit(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        budgets = [int(argv[argv.index(flag) + 1]) for flag in ("--ssyn", "--t", "--sseq")]
+        if max(budgets) >= 2**64:
+            assert status == 2
+        if status == 0 and "--at-most" not in argv:
+            ell = int(argv[argv.index("--ell") + 1])
+            assert int(grab(out, "observed-sum")) == len(argv[2]) - ell + 1 - budgets[1]
 
     run()

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from gramcode import graphs
@@ -15,7 +18,7 @@ from gramcode.graphs import (
     simple_cycle_lengths,
     strongly_connected_components,
 )
-from oracles import integer_rank, node_label
+from oracles import cursor_walk, integer_rank, node_label
 
 TWO_COMPONENT_SET = explicit_gram_set(
     4, 2, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 3)]
@@ -151,6 +154,50 @@ def test_eulerian_walk_rejects_bad_multisets():
         eulerian_walk(g, [1, 0, 0, 1])  # two loops, disconnected support
     with pytest.raises(ValueError):
         eulerian_walk(g, [0, 0, 0, 0])
+
+
+def _walk_profile(graph, rng, mult):
+    """Add to mult the arcs of a random walk of up to 12 steps from a random node."""
+    v = rng.randrange(graph.n_nodes)
+    for _ in range(rng.randint(0, 12)):
+        if not graph.out_adj[v]:
+            break
+        a = rng.choice(graph.out_adj[v])
+        mult[a] += 1
+        v = graph.arc_term[a]
+
+
+def _outcome(walk, graph, mult):
+    try:
+        return walk(graph, mult)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_eulerian_walk_matches_the_cursor_scan():
+    # random explicit sets (q, ell in {2, 3}, at most 10 grams) with
+    # multiplicities drawn uniformly (mostly refused), from one random
+    # walk (closed or open) or from two (often disconnected)
+    rng = random.Random(34)
+    seen = {"closed": 0, "open": 0, "disconnected": 0, "refused": 0}
+    for _ in range(6000):
+        q, ell = rng.choice((2, 3)), rng.choice((2, 3))
+        cube = list(product(range(q), repeat=ell))
+        grams = rng.sample(cube, rng.randint(1, min(10, len(cube))))
+        graph = build_graph(explicit_gram_set(q, ell, grams))
+        mult = [0] * graph.n_arcs
+        kind = rng.randrange(3)
+        if kind == 0:
+            mult = [rng.randint(0, 3) for _ in mult]
+        for _ in range(kind):
+            _walk_profile(graph, rng, mult)
+        expected = _outcome(cursor_walk, graph, mult)
+        assert _outcome(eulerian_walk, graph, mult) == expected
+        if isinstance(expected, list):
+            seen["closed" if expected[0] == expected[-1] else "open"] += 1
+        else:
+            seen["disconnected" if "disconnected" in expected else "refused"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_hamiltonian_full_cube():
