@@ -5,15 +5,16 @@ system  A(S) u = M b,  u >= 0  (or u > 0 for the interior), where A(S)
 is the incidence matrix topped with an all-ones row and M is the number
 of grams in a word.  Points are enumerated by a depth-first scan over
 the arc coordinates, one level per arc, so they come out in ascending
-lexicographic order.  A static level plan, built once per system,
-classifies the levels: a *forced* level's arc closes one of its
-endpoints, so its value follows from the earlier levels; a *decision*
-level ranges over an interval; the last decision is *pinned*, solved
-from the remaining total.  Intervals come from remaining-sum bounds,
-per-node imbalance reachability, and each endpoint's balance once its
-in- or out-arcs are exhausted.  An optional CongruenceBlock (H, p, beta),
-a Varshamov code among them, restricts points to a congruence class,
-which is how code intersections are counted.  The plan moves the block
+lexicographic order.  A static level plan, built from the graph, the
+mode and the block, classifies the levels: a *forced* level's arc
+closes one of its endpoints, so its value follows from the earlier
+levels; a *decision* level ranges over an interval; the last decision
+is *pinned*, solved from the remaining total.  Intervals come from
+remaining-sum bounds, per-node imbalance reachability, and each
+endpoint's balance once its in- or out-arcs are exhausted.  An optional
+CongruenceBlock (H, p, beta), a Varshamov code among them, restricts
+points to a congruence class, which is how code intersections are
+counted.  The plan moves the block
 to the scan's coordinates and row-reduces the plan's shifted block
 onto the decisions, so each *pivot* decision's residue follows from
 earlier decisions; a row that reduces to 0 = c with c != 0 empties the
@@ -41,6 +42,11 @@ DFS's own: the remaining total and every node's missing balance), and
 counts each merged state there as the DFS counts a prefix.  Its work
 grows with the number of distinct states, the DFS's with the number of
 prefixes at the outer level.  _plan picks the engine.
+
+Without a block the plan reads the total only into its remaining
+total, and the fold tail reads only the graph's levels, so counts of
+one graph at many totals (a fit's samples, in both modes) share one
+plan per mode and one tail.
 
 Counts at dilations M = lam * t + r are interpolated into
 exact-rational polynomials in t, recovering leading coefficients of
@@ -684,23 +690,60 @@ def _count_frontier(plan: _Plan, tail) -> int:
     return sum(mult * _fold_count(tail, rem, miss) for (rem, *miss), mult in states.items())
 
 
-def count_points(system: FlowSystem) -> int:
-    """Number of integer points of the system, exactly.
+def _count(plan: _Plan, tail) -> int:
+    """Number of points of a planned system; tail is its _fold_tail, or None.
 
-    The plan (see _plan) is built once.  Without a fold level the DFS
-    (_scan) visits every point; otherwise _fold_tail compiles the tail
-    once for the engine the plan picks, merged frontier states
-    (_count_frontier) or the DFS, and either stops at the outer level.
-    A congruence block keeps the DFS, and folds unless it makes the
-    pinned level a pivot.
+    Without a fold level the DFS (_scan) visits every point; otherwise
+    the engine the plan picks, merged frontier states (_count_frontier)
+    or the DFS, stops at the outer level and counts the rest by tail.
     """
-    plan = _plan(system)
     if plan.fold < 0:
         return sum(1 for _ in _scan(plan))
-    tail = _fold_tail(plan)
     if plan.narrow:
         return _count_frontier(plan, tail)
     return sum(_scan(plan, tail))
+
+
+def count_points(system: FlowSystem) -> int:
+    """Number of integer points of the system, exactly.
+
+    The plan (see _plan) depends on the graph, the mode and the block,
+    and on the total only through plan.total and, with a block, the
+    pivots; it is built once per call.  The tail (_fold_tail) reads only
+    the plan's levels, outer, fold and pinned level, and is compiled
+    once when the plan has a fold level.  A congruence block keeps the
+    DFS, and folds unless it makes the pinned level a pivot.
+    """
+    plan = _plan(system)
+    return _count(plan, _fold_tail(plan) if plan.fold >= 0 else None)
+
+
+def _graph_counter(graph: DeBruijnGraph):
+    """count(m, mode), equal to count_points(FlowSystem(graph, m, mode)), for many m.
+
+    Without a block a plan reads the total only into plan.total, so
+    each mode is planned once, at the total 0, and the total m is
+    counted with plan.total = m - shift * |E|.  The levels, the
+    decisions, the pinned, outer and fold levels and narrow depend on
+    the graph alone; the modes differ only in total, targets, pin_const
+    and shift.  The tail reads none of those (the state holds the
+    targets), so the first plan's tail serves both modes.  A block would
+    make the pivots depend on the total, so the counter takes none, and
+    nothing outlives the counter.
+    """
+    plans = {}
+    tail = None
+
+    def count(m, mode):
+        nonlocal tail
+        if mode not in plans:
+            plans[mode] = _plan(FlowSystem(graph, 0, mode))
+            if tail is None and plans[mode].fold >= 0:
+                tail = _fold_tail(plans[mode])
+        plan = plans[mode]
+        return _count(plan._replace(total=m - plan.shift * graph.n_arcs), tail)
+
+    return count
 
 
 def enumerate_points(system: FlowSystem):
@@ -850,6 +893,10 @@ def fit_quasipolynomial(
     raised unless all of them agree as polynomials in M.  When the
     cycle search exceeds its budget, L is unknown and the held-out
     count is the only check of the period.
+
+    Every count of the fit, the other mode's and the class fits' too,
+    goes through one _graph_counter: each mode is planned once and the
+    graph's fold tail compiled once.  Nothing is kept between calls.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
@@ -870,6 +917,7 @@ def fit_quasipolynomial(
         ts = range(first, first + fitted + 2)
     lowest = 1 if mode == "E" else 0
     other = "F" if mode == "E" else "E"
+    count = _graph_counter(graph)
 
     def fit(lam, residue):
         """The polynomial through the counts at ts but the last, checked there."""
@@ -877,9 +925,9 @@ def fit_quasipolynomial(
         for t in ts:
             m = lam * t + residue
             if m >= lowest:
-                counts.append(count_points(FlowSystem(graph, m, mode)))
+                counts.append(count(m, mode))
             else:
-                counts.append((-1) ** dim * count_points(FlowSystem(graph, -m, other)))
+                counts.append((-1) ** dim * count(-m, other))
         poly = QuasiPolynomial(fitted, lam, residue, mode, _interpolate(ts[0], counts[:-1]), ts[-1])
         predicted = poly.evaluate(ts[-1])
         if predicted != counts[-1]:
@@ -928,10 +976,10 @@ def reciprocity_check(f_poly: QuasiPolynomial, e_poly: QuasiPolynomial) -> bool:
 
 def monotonicity_check(s: GramSet, m_max: int) -> bool:
     """Mode-F count_points nondecreasing in the total for M = 1..m_max."""
-    graph = build_graph(s)
-    prev = count_points(FlowSystem(graph, 1))
+    count = _graph_counter(build_graph(s))
+    prev = count(1, "F")
     for m in range(2, m_max + 1):
-        cur = count_points(FlowSystem(graph, m))
+        cur = count(m, "F")
         if cur < prev:
             return False
         prev = cur

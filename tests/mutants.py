@@ -60,6 +60,10 @@ BLOCK_FOLD_COUNTS = (
     "tests/test_lattice.py::test_block_counts_fold_exactly",
     "tests/test_lattice.py::test_block_fold_with_incompatible_classes_counts_zero",
 )
+GRAPH_COUNTS = (
+    "tests/test_lattice.py::test_fit_plans_each_mode_once",
+    "tests/test_lattice.py::test_plans_and_tails_do_not_depend_on_the_mode",
+)
 
 MUTANTS = (
     # the merged frontier (count by states)
@@ -131,10 +135,23 @@ MUTANTS = (
            BLOCK_FOLD_COUNTS),
     # the fit
     Mutant("reciprocity sign forced to +1", LATTICE,
-           "counts.append((-1) ** dim * count_points(FlowSystem(graph, -m, other)))",
-           "counts.append(count_points(FlowSystem(graph, -m, other)))",
+           "counts.append((-1) ** dim * count(-m, other))",
+           "counts.append(count(-m, other))",
            ("tests/test_properties.py::test_fit_matches_the_same_mode_fit",
             "tests/test_cli.py::test_fit_output_is_golden_but_for_the_held_out_t")),
+    # one plan per mode for a graph's many totals (_graph_counter)
+    Mutant("counter keeps the total its plan was built at", LATTICE,
+           "return _count(plan._replace(total=m - plan.shift * graph.n_arcs), tail)",
+           "return _count(plan, tail)",
+           GRAPH_COUNTS),
+    Mutant("counter's total forgets the mode-E shift", LATTICE,
+           "total=m - plan.shift * graph.n_arcs",
+           "total=m",
+           GRAPH_COUNTS),
+    Mutant("counter reuses one mode's plan for the other", LATTICE,
+           "plan = plans[mode]",
+           "plan = next(iter(plans.values()))",
+           GRAPH_COUNTS),
     Mutant("fit skips its period proof", LATTICE,
            "if lam % period:",
            "if False:",

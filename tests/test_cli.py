@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramcode import aecc, graphs
+from gramcode import aecc, graphs, lattice
 from gramcode.cli import main, parse_set
 from gramcode.codec import format_codebook_file, parse_codebook_file
 from gramcode.grams import build_weight_set, gram_values
@@ -585,11 +585,29 @@ def arc_count(tokens):
         return None
 
 
-def assert_clean_exit(argv):
-    """Run argv; the exit is 0, 2 or 3, and 2 or 3 print one `error` line."""
+class Hung(Exception):
+    """A command ran past its alarm; main() does not catch this."""
+
+
+def _raise_hung(signum, frame):
+    raise Hung
+
+
+def assert_clean_exit(argv, alarm=5):
+    """Run argv; the exit is 0, 2 or 3, and 2 or 3 print one `error` line.
+
+    A fuzz's deadline only judges a call that returns, so a SIGALRM after
+    alarm seconds raises Hung and turns a hang into a failure.
+    """
     err = io.StringIO()
-    with redirect_stderr(err):
-        status, out = run_cli(*argv)
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    signal.setitimer(signal.ITIMER_REAL, alarm)
+    try:
+        with redirect_stderr(err):
+            status, out = run_cli(*argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert status in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if status:
@@ -633,6 +651,22 @@ def test_fit_fuzz_exits_cleanly(tmp_path_factory):
     run()
 
 
+def test_a_hung_fit_fails_its_fuzz(monkeypatch):
+    # a count that never returns raises Hung at the alarm, where the
+    # fuzz's deadline would wait for it
+    def hung_counter(graph):
+        def count(m, mode):
+            while True:
+                pass
+
+        return count
+
+    monkeypatch.setattr(lattice, "_graph_counter", hung_counter)
+    with pytest.raises(Hung):
+        assert_clean_exit(["fit", "--set", "full", "2", "2", "--degree", "2", "--lambda", "2"],
+                          alarm=0.2)
+
+
 @st.composite
 def enumerate_argvs(draw, explicit_path, code_path):
     """An `enumerate` argv over a set_tokens set: n in -3..60 (at most 14
@@ -674,14 +708,6 @@ def test_enumerate_fuzz_exits_cleanly(tmp_path_factory):
     run()
 
 
-class Hung(Exception):
-    """A command ran past its alarm; main() does not catch this."""
-
-
-def _raise_hung(signum, frame):
-    raise Hung
-
-
 @st.composite
 def simulate_argvs(draw):
     """A `simulate` argv: a digit word of length 1..12 over q in 1..5 (a
@@ -710,19 +736,11 @@ def simulate_argvs(draw):
 
 
 def test_simulate_fuzz_exits_cleanly():
-    # hypothesis's deadline only judges a call that returns, so an alarm
-    # turns a hang into a failure
     @settings(derandomize=True, database=None, max_examples=150,
               deadline=timedelta(seconds=5))
     @given(simulate_argvs())
     def run(argv):
-        previous = signal.signal(signal.SIGALRM, _raise_hung)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
-            status, out = assert_clean_exit(argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        status, out = assert_clean_exit(argv)
         budgets = [int(argv[argv.index(flag) + 1]) for flag in ("--ssyn", "--t", "--sseq")]
         if max(budgets) >= 2**64:
             assert status == 2

@@ -7,6 +7,7 @@ import pytest
 
 from gramcode import graphs, lattice
 from gramcode.aecc import build_code
+from gramcode.cli import TABLE_I, TABLE_II
 from gramcode.grams import build_weight_set, explicit_gram_set, full_gram_set
 from gramcode.graphs import build_graph
 from gramcode.lattice import (
@@ -488,6 +489,94 @@ def test_fit_samples_the_smallest_dilations(table_fits):
         assert e_poly.verified_at == e_poly.degree // 2 + 1
     # an arc on no cycle: the fit samples t = 1..degree+1 and checks degree+2
     assert fit_quasipolynomial(TWO_COMPONENT_SET, 3, 2).verified_at == 5
+
+
+def record_builds(monkeypatch):
+    """Record each _plan and _fold_tail call and each counter's (m, mode, count)."""
+    builds = {"_plan": [], "_fold_tail": [], "samples": []}
+    for name in ("_plan", "_fold_tail"):
+        build = getattr(lattice, name)
+
+        def recorded(plan_or_system, build=build, calls=builds[name]):
+            calls.append(plan_or_system)
+            return build(plan_or_system)
+
+        monkeypatch.setattr(lattice, name, recorded)
+    graph_counter = lattice._graph_counter
+
+    def recorded_counter(graph):
+        count = graph_counter(graph)
+
+        def recorded_count(m, mode):
+            result = count(m, mode)
+            builds["samples"].append((graph, m, mode, result))
+            return result
+
+        return recorded_count
+
+    monkeypatch.setattr(lattice, "_graph_counter", recorded_counter)
+    return builds
+
+
+@pytest.mark.parametrize("mode", ["F", "E"])
+def test_fit_plans_each_mode_once(monkeypatch, mode):
+    # c(2,3): the fit's own samples and the other mode's past reciprocity
+    # share one plan per mode and one tail; at lambda 8, which L = 12 does
+    # not divide, the three class fits at period 12 share them too
+    builds = record_builds(monkeypatch)
+    fit_quasipolynomial(S23, 4, 12, mode)
+    assert [s.mode for s in builds["_plan"]] == (["E", "F"] if mode == "F" else ["F", "E"])
+    assert len(builds["_fold_tail"]) == 1
+    assert len(builds["samples"]) == 6
+    fit_samples = list(builds["samples"])
+    for calls in builds.values():
+        calls.clear()
+    with pytest.raises(FitMismatch, match="lambda 8 is not a period"):
+        fit_quasipolynomial(S23, 4, 8, mode)
+    assert sorted(s.mode for s in builds["_plan"]) == ["E", "F"]
+    assert len(builds["_fold_tail"]) == 1
+    assert len(builds["samples"]) == 4 * 6
+    monkeypatch.undo()
+    for graph, m, sample_mode, count in fit_samples + builds["samples"]:
+        assert count == count_points(FlowSystem(graph, m, sample_mode))
+
+
+def test_monotonicity_check_plans_once(monkeypatch):
+    builds = record_builds(monkeypatch)
+    assert monotonicity_check(S23, 12)
+    assert len(builds["_plan"]) == len(builds["_fold_tail"]) == 1
+    assert [m for _, m, _, _ in builds["samples"]] == list(range(1, 13))
+
+
+def invariance_sets():
+    """The Table I/II sets and 300 seeded explicit sets with q, ell <= 3."""
+    sets = [full_gram_set(q, ell) for q, ell, *_ in TABLE_I]
+    sets += [build_weight_set(2, ell, 1, w1, w2) for ell, w1, w2, *_ in TABLE_II]
+    rng = random.Random(35)
+    for _ in range(300):
+        q, ell = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+        cube = full_gram_set(q, ell).grams
+        sets.append(explicit_gram_set(q, ell, rng.sample(cube, rng.randint(1, min(len(cube), 12)))))
+    return sets
+
+
+def test_plans_and_tails_do_not_depend_on_the_mode():
+    # a block-free plan's levels, decisions and tail are the graph's, so
+    # _graph_counter plans each mode once and shares one tail
+    folded = 0
+    for s in invariance_sets():
+        graph = build_graph(s)
+        f_plan, e_plan = (_plan(FlowSystem(graph, 0, mode)) for mode in "FE")
+        for field in ("levels", "pinned", "pin_weight", "pin_terms", "outer", "fold", "narrow"):
+            assert getattr(f_plan, field) == getattr(e_plan, field), (s, field)
+        if f_plan.fold >= 0:
+            assert lattice._fold_tail(f_plan) == lattice._fold_tail(e_plan), s
+            folded += 1
+        count = lattice._graph_counter(graph)
+        for m in range(16 if graph.n_arcs <= 12 else 8):  # the larger Table sets to M = 7
+            for mode in "FE":
+                assert count(m, mode) == count_points(FlowSystem(graph, m, mode)), (s, m, mode)
+    assert folded >= 150
 
 
 def test_fit_refuses_a_degree_above_the_arc_count():
