@@ -12,7 +12,6 @@ from .grams import (
     OutOfSetGramError,
     ProfileVector,
     Word,
-    asym_distance,
     build_weight_set,
     dna_string,
     explicit_gram_set,

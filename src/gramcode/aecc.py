@@ -17,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
+from math import comb
 from operator import mul
+
+from .grams import MAX_CUBE, CubeTooLarge
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -128,8 +131,6 @@ def build_code(p: int, alphas, d: int, beta=None) -> VarshamovCode:
     if p <= n or p <= d:
         raise ValueError(f"need p > N and p > d, got p={p}, N={n}, d={d}")
     alphas = tuple(a % p for a in alphas)
-    if d < 1:
-        raise ValueError("need at least one parity row")
     if not alphas or len(set(alphas)) != n or 0 in alphas:
         raise ValueError("alphas must be nonempty, distinct and nonzero mod p")
     return VarshamovCode(_power_rows(p, alphas, d), p, (0,) * d if beta is None else beta, alphas)
@@ -164,13 +165,15 @@ def decode_bounded(code: VarshamovCode, received, max_weight: int):
     L1 weight.  Up to weight d the decoding is algebraic: the syndrome
     difference beta - H received gives the power sums s_1..s_d of the
     error locators (alpha_i repeated e_i times), Newton's identities
-    turn s_1..s_w into the locator polynomial of a weight-w error, and
-    its roots among the alphas, with multiplicity, give e.  So each
-    weight w <= d has at most one candidate, kept only if it is a
-    member.  Past d the error patterns of each weight are searched, and
-    two hits at the same weight raise AmbiguousDecode (the error
-    exceeded the design guarantee); exhausting max_weight raises
-    DecodeFailure.
+    turn them into the elementary symmetric functions e_1..e_d, the last
+    nonzero one gives the weight w and the locator polynomial, and its
+    roots among the alphas, with multiplicity, give e.  So there is at
+    most one candidate up to weight d, kept only if w <= max_weight and
+    it is a member.  Past d the error patterns of each weight are
+    searched, and two hits at the same weight raise AmbiguousDecode (the
+    error exceeded the design guarantee); exhausting max_weight raises
+    DecodeFailure.  A weight that would take the patterns searched past d
+    above MAX_CUBE raises CubeTooLarge before it is searched.
     """
     received = tuple(received)
     if len(received) != code.length:
@@ -180,31 +183,36 @@ def decode_bounded(code: VarshamovCode, received, max_weight: int):
     p = code.p
     sums = [(b - s) % p for b, s in zip(code.beta, code.syndrome(received))]
     # elementary symmetric functions of the locators by Newton's identities,
-    # k e_k = sum_i (-1)^(i-1) e_(k-i) s_i with k <= d < p invertible mod p;
-    # a weight-w error has e_1..e_w of its own w locators
+    # k e_k = sum_i (-1)^(i-1) e_(k-i) s_i with k <= d < p invertible mod p
     elementary = [1]
-    for k in range(1, min(max_weight, code.d) + 1):
+    for k in range(1, code.d + 1):
         total = sum((-1) ** (i - 1) * elementary[k - i] * sums[i - 1] for i in range(1, k + 1))
         elementary.append(total * pow(k, -1, p) % p)
-    for w in range(len(elementary)):
-        # x^w - e_1 x^(w-1) + ... + (-1)^w e_w, highest degree first: its roots
-        # are the locators, each divided out by synthetic division at an alpha
-        locator = [(-1) ** k * elementary[k] % p for k in range(w + 1)]
-        candidate = list(received)
-        for i, a in enumerate(code.alphas):
-            while len(locator) > 1:
-                quotient = []
-                remainder = 0
-                for c in locator:
-                    remainder = (remainder * a + c) % p
-                    quotient.append(remainder)
-                if quotient.pop():
-                    break
-                locator = quotient
-                candidate[i] += 1
-        if len(locator) == 1 and code.is_member(candidate):
-            return tuple(candidate)
+    # a weight-w error has e_w != 0, a product of nonzero alphas, and e_k = 0
+    # past w, so w is the last nonzero e_k; its locator x^w - e_1 x^(w-1) +
+    # ... + (-1)^w e_w, highest degree first, has the error's locators as
+    # roots, each divided out by synthetic division at an alpha
+    w = max(k for k, e in enumerate(elementary) if e)
+    locator = [(-1) ** k * elementary[k] % p for k in range(w + 1)]
+    candidate = list(received)
+    for i, a in enumerate(code.alphas):
+        while len(locator) > 1:
+            quotient = []
+            remainder = 0
+            for c in locator:
+                remainder = (remainder * a + c) % p
+                quotient.append(remainder)
+            if quotient.pop():
+                break
+            locator = quotient
+            candidate[i] += 1
+    if w <= max_weight and len(locator) == 1 and code.is_member(candidate):
+        return tuple(candidate)
     for w in range(code.d + 1, max_weight + 1):
+        patterns = comb(code.length + w, w) - comb(code.length + code.d, code.d)
+        if patterns > MAX_CUBE:
+            raise CubeTooLarge(f"{patterns} error patterns from weight {code.d + 1} to {w} "
+                               f"exceed the cube guard of {MAX_CUBE}")
         hit = _search_weight(code, received, w)
         if hit is not None:
             return hit

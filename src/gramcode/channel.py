@@ -140,12 +140,16 @@ def _observe(survivors: list[int], gram_subs, q: int, ell: int) -> ProfileVector
     return ProfileVector(tuple(counts))
 
 
+def _check_gram_length(x: Word, ell: int) -> None:
+    """Refuse ell outside 1..len(x), or a cube [q]^ell above MAX_CUBE grams."""
+    if not 1 <= ell <= len(x):
+        raise ValueError(f"gram length must lie in 1..{len(x)}, the word length; got {ell}")
+    check_cube(x.q, ell)
+
+
 def inject(x: Word, ell: int, trace: ChannelTrace) -> ProfileVector:
     """Apply a trace to a word; the observation over the full gram cube."""
-    n = len(x)
-    if not 1 <= ell <= n:
-        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
-    check_cube(x.q, ell)
+    _check_gram_length(x, ell)
     survivors = _survivors(x, ell, trace.synthesis, trace.dropped)
     return _observe(survivors, trace.gram_subs, x.q, ell)
 
@@ -164,10 +168,8 @@ def transmit(
     testing wants saturated budgets; the channel definition only
     promises "at most").
     """
+    _check_gram_length(x, ell)
     n = len(x)
-    if not 1 <= ell <= n:
-        raise ValueError(f"gram length must lie in 1..{n}, the word length; got {ell}")
-    check_cube(x.q, ell)
     rng = Splitmix64(seed)
     s_syn, t, s_seq = budget.s_syn, budget.t, budget.s_seq
     if at_most:

@@ -408,37 +408,36 @@ def cmd_roundtrip(args):
         raise ValueError("noisy roundtrip needs --seed")
     # Without --seed the budget is zero: transmit draws nothing, so the word is observed as is.
     if args.preset == "systematic":
-        s = grams.full_gram_set(2, 3)
-        layout = codec.systematic_layout(graphs.build_graph(s), 2)
-        n = args.n or 20
-        message = tuple(int(t) for t in (args.message or "0,0,0").split(","))
-        u = codec.systematic_encode(layout, message, n)
-        emit("message", message)
-        emit("profile", u.counts)
-        word_out = codec.euler_word(u.counts, s)
-        emit("word", grams.word_text(word_out))
-        observed, _trace = channel.transmit(word_out, s.ell, budget, args.seed or 0)
-        emit("observed", observed.counts)
-        book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
-        result = codec.decode_profile(book, observed.counts)
-        decoded = tuple(result.codeword[a] for a in layout.info_positions)
-        emit("decoded-message", decoded)
-        emit("roundtrip-ok", decoded == message)
-        return 0 if decoded == message else 3
-    layout = codec.rank_modulation_layout(2, 3)
-    n = args.n or 14
-    perm = tuple(int(t) for t in (args.perm or "0,1,2").split(","))
-    u = codec.rank_encode(layout, perm, n)
-    emit("permutation", perm)
+        layout = codec.systematic_layout(graphs.build_graph(grams.full_gram_set(2, 3)), 2)
+        encode, key, default, n = codec.systematic_encode, "message", "0,0,0", args.n or 20
+
+        def readout(observed):
+            emit("observed", observed)
+            book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
+            codeword = codec.decode_profile(book, observed).codeword
+            decoded = tuple(codeword[a] for a in layout.info_positions)
+            emit("decoded-message", decoded)
+            return decoded
+    else:
+        layout = codec.rank_modulation_layout(2, 3)
+        encode, key, default, n = codec.rank_encode, "permutation", "0,1,2", args.n or 14
+
+        def readout(observed):
+            decoded, ties = codec.rank_readout_decode(layout, observed)
+            emit("decoded-permutation", decoded)
+            emit("ties", ties)
+            return decoded
+    # the checks above leave at most the preset's own one of --message and --perm
+    message = tuple(int(t) for t in (args.message or args.perm or default).split(","))
+    u = encode(layout, message, n)
+    emit(key, message)
     emit("profile", u.counts)
-    word_out = codec.euler_word(u.counts, layout.gram_set)
+    word_out = codec.euler_word(u.counts, layout.gram_set, layout.graph)
     emit("word", grams.word_text(word_out))
-    observed, _trace = channel.transmit(word_out, 3, budget, args.seed or 0)
-    decoded, ties = codec.rank_readout_decode(layout, observed.counts)
-    emit("decoded-permutation", decoded)
-    emit("ties", ties)
-    emit("roundtrip-ok", decoded == perm)
-    return 0 if decoded == perm else 3
+    observed, _trace = channel.transmit(word_out, layout.gram_set.ell, budget, args.seed or 0)
+    decoded = readout(observed.counts)
+    emit("roundtrip-ok", decoded == message)
+    return 0 if decoded == message else 3
 
 
 def build_parser():

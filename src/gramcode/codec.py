@@ -49,9 +49,6 @@ def euler_word(counts, s: GramSet, graph: DeBruijnGraph | None = None) -> Word:
     support must be connected.  The result has profile exactly `counts`
     and length sum(counts) + ell - 1.
     """
-    counts = tuple(counts)
-    if len(counts) != len(s):
-        raise ValueError(f"expected {len(s)} counts, got {len(counts)}")
     graph = graph or build_graph(s)
     walk = eulerian_walk(graph, counts)
     nodes = graph.nodes
@@ -293,10 +290,6 @@ def rank_encode(layout: SystematicLayout, perm, n: int) -> ProfileVector:
     perm = tuple(perm)
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("rank input must be a permutation of 0..m-1")
-    if len(perm) != len(layout.info_positions):
-        raise ValueError(
-            f"permutation length {len(perm)} != {len(layout.info_positions)}"
-        )
     return systematic_encode(layout, perm, n, override=True)
 
 

@@ -264,18 +264,9 @@ def profile(x: Word, s: GramSet) -> ProfileVector:
     return ProfileVector(tuple(counts))
 
 
-def asym_distance(u, v) -> int:
-    """Asymmetric distance: the larger of the one-sided difference sums
-    sum max(u_i - v_i, 0) and sum max(v_i - u_i, 0).
-
-    A metric on count vectors; for equal-sum vectors it equals half
-    the L1 distance.  It is nearest_row on one row.
-    """
-    return nearest_row((tuple(u),), tuple(v))[1]
-
-
 def nearest_row(rows, v):
-    """The first of the rows nearest v in asymmetric distance.
+    """The first of the rows nearest v in asymmetric distance, the larger
+    of the one-sided sums of max(u_i - v_i, 0) and of max(v_i - u_i, 0).
 
     Returns (index, distance, tie), tie saying whether a later row is
     at the same distance; with no rows it is (-1, inf, False).  Each

@@ -41,6 +41,7 @@ GRAMS = "gramcode/grams.py"
 GRAPHS = "gramcode/graphs.py"
 AECC = "gramcode/aecc.py"
 CHANNEL = "gramcode/channel.py"
+CLI = "gramcode/cli.py"
 FRONTIER_COUNTS = (
     "tests/test_properties.py::test_fold_count_on_each_tail_shape",
     "tests/test_properties.py::test_frontier_count_matches_the_scan",
@@ -64,6 +65,27 @@ GRAPH_COUNTS = (
     "tests/test_lattice.py::test_fit_plans_each_mode_once",
     "tests/test_lattice.py::test_plans_and_tails_do_not_depend_on_the_mode",
 )
+# cmd_roundtrip's two readouts and the rank preset's setup between them
+SYSTEMATIC_READOUT = """\
+            emit("observed", observed)
+            book = codec.systematic_grc(product(range(2), repeat=3), layout, n, distance=1)
+            codeword = codec.decode_profile(book, observed).codeword
+            decoded = tuple(codeword[a] for a in layout.info_positions)
+            emit("decoded-message", decoded)
+"""
+RANK_SETUP = """\
+            return decoded
+    else:
+        layout = codec.rank_modulation_layout(2, 3)
+        encode, key, default, n = codec.rank_encode, "permutation", "0,1,2", args.n or 14
+
+        def readout(observed):
+"""
+RANK_READOUT = """\
+            decoded, ties = codec.rank_readout_decode(layout, observed)
+            emit("decoded-permutation", decoded)
+            emit("ties", ties)
+"""
 
 MUTANTS = (
     # the merged frontier (count by states)
@@ -198,6 +220,24 @@ MUTANTS = (
            "@lambda f: lambda p, alphas, d, rows={}: rows.setdefault((p, alphas), f(p, alphas, d))"
            "\ndef _power_rows(",
            ("tests/test_aecc.py::test_build_code_rows_follow_d",)),
+    # the algebraic decode and the pattern search past d
+    Mutant("locator weight taken as the smallest nonzero k", AECC,
+           "w = max(k for k, e in enumerate(elementary) if e)",
+           "w = min((k for k, e in enumerate(elementary) if e and k), default=0)",
+           ("tests/test_properties.py::test_decode_bounded_matches_the_exhaustive_oracle",)),
+    Mutant("locator candidate kept past max_weight", AECC,
+           "if w <= max_weight and len(locator) == 1",
+           "if len(locator) == 1",
+           ("tests/test_properties.py::test_decode_bounded_matches_the_exhaustive_oracle",)),
+    Mutant("pattern guard refuses a count at MAX_CUBE", AECC,
+           "if patterns > MAX_CUBE:",
+           "if patterns >= MAX_CUBE:",
+           ("tests/test_aecc.py::test_pattern_search_stops_at_the_cube_guard",)),
+    # the roundtrip pipeline
+    Mutant("roundtrip presets swap their readouts", CLI,
+           SYSTEMATIC_READOUT + RANK_SETUP + RANK_READOUT,
+           RANK_READOUT + RANK_SETUP + SYSTEMATIC_READOUT,
+           ("tests/test_cli.py::test_roundtrip_presets",)),
     Mutant("sample forgets where an earlier swap moved i", CHANNEL,
            "moved[j] = moved.get(i, i)",
            "moved[j] = i",

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 from gramcode.aecc import AmbiguousDecode, DecodeFailure
-from gramcode.grams import asym_distance, explicit_gram_set
+from gramcode.grams import explicit_gram_set
 from gramcode.graphs import build_graph, net_outflow, strongly_connected_components
 from gramcode.lattice import FitMismatch, FlowSystem, QuasiPolynomial, count_points
 
@@ -59,6 +59,16 @@ def slice_profile(symbols, s):
     return tuple(counts), None
 
 
+def asym_distance(u, v) -> int:
+    """Oracle: the asymmetric distance, the larger of the one-sided
+    difference sums, of two vectors of one length."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch {len(u)} != {len(v)}")
+    up = sum(a - b for a, b in zip(u, v) if a > b)
+    down = sum(b - a for a, b in zip(u, v) if b > a)
+    return max(up, down)
+
+
 def verify_min_distance(codebook):
     """Minimum pairwise asymmetric distance by exhaustive scan.
 
@@ -81,7 +91,7 @@ def verify_min_distance(codebook):
 def scan_decode(codewords, observed):
     """Oracle: minimum-distance decoding by the full scan, as (index, distance, tie).
 
-    Measures the whole asym_distance against every row; the first row in
+    Measures the whole asymmetric distance to every row; the first row in
     order at the minimum wins, and the tie flag is set when another row
     shares that minimum.
     """

@@ -18,8 +18,8 @@ from gramcode.aecc import (
     parse_code_file,
 )
 from gramcode.cli import main
-from gramcode.grams import asym_distance
-from oracles import decode_outcome, exhaustive_decode, verify_min_distance
+from gramcode.grams import CubeTooLarge
+from oracles import asym_distance, decode_outcome, exhaustive_decode, verify_min_distance
 
 
 def sieve(limit):
@@ -224,6 +224,25 @@ def test_decode_failure_when_budget_too_small():
     code = build_code(5, (1, 2, 3), 2)
     with pytest.raises(DecodeFailure):
         decode_bounded(code, (0, 0, 1), 0)
+
+
+def test_build_code_without_parity_rows_is_refused():
+    # the block refuses empty rows, so d < 1 needs no check of its own
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="at least one row"):
+            build_code(5, (1, 2, 3), d)
+
+
+def test_pattern_search_stops_at_the_cube_guard(monkeypatch):
+    # a length-3, d = 1 code searches C(3 + w, w) - C(4, 1) patterns past
+    # weight 1 through weight w: 6 through weight 2 and 16 through weight 3.
+    # No error of weight <= 3 reaches this syndrome, so the search runs on.
+    code = build_code(1000003, (1, 2, 3), 1, beta=(500000,))
+    monkeypatch.setattr(aecc, "MAX_CUBE", 6)
+    with pytest.raises(DecodeFailure):
+        decode_bounded(code, (0, 0, 0), 2)  # 6 patterns: at the guard, searched
+    with pytest.raises(CubeTooLarge, match="16 error patterns from weight 2 to 3"):
+        decode_bounded(code, (0, 0, 0), 3)
 
 
 def test_verify_min_distance():

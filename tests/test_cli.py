@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from gramcode import aecc, graphs, lattice
 from gramcode.cli import main, parse_set
 from gramcode.codec import format_codebook_file, parse_codebook_file
-from gramcode.grams import build_weight_set, gram_values
+from gramcode.grams import (
+    build_weight_set, explicit_gram_set, format_profile_file, full_gram_set, gram_values,
+)
 from oracles import verify_min_distance
 
 
@@ -749,3 +752,68 @@ def test_simulate_fuzz_exits_cleanly():
             assert int(grab(out, "observed-sum")) == len(argv[2]) - ell + 1 - budgets[1]
 
     run()
+
+
+@st.composite
+def code_decode_argvs(draw, code_path, profile_path):
+    """A `code-build` argv of length 1..12 and d 1..3 at the smallest prime
+    above both or a larger one, with its own beta at times, and a
+    `code-decode` argv of a profile of that length or another one, with
+    --max-weight in -1..40."""
+    length = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    build = ["code-build", "--length", str(length), "--d", str(d), "--out", str(code_path)]
+    p = aecc.choose_prime(length, d)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([1000003, 1009, 101, p]))
+        build += ["--p", str(p)]
+    if draw(st.booleans()):
+        build += ["--beta", ",".join(str(draw(st.integers(0, p - 1))) for _ in range(d))]
+    size = draw(st.integers(1, 12)) if draw(st.integers(0, 3)) == 3 else length
+    s = explicit_gram_set(2, 4, list(product(range(2), repeat=4))[:size])
+    counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    profile_path.write_text(format_profile_file(counts, s, sum(counts) + 3))
+    decode = ["code-decode", "--code", str(code_path), "--profile", str(profile_path),
+              "--max-weight", str(draw(st.integers(-1, 40)))]
+    return build, decode
+
+
+def test_code_decode_fuzz_exits_cleanly(tmp_path_factory, monkeypatch):
+    folder = tmp_path_factory.mktemp("code-decode-fuzz")
+    # a search up to the full guard of 2**20 patterns takes ~3 s; the next
+    # test runs one at full size, so here the guard is 2**16
+    monkeypatch.setattr(aecc, "MAX_CUBE", 2**16)
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=timedelta(seconds=10))
+    @given(code_decode_argvs(folder / "code.txt", folder / "profile.txt"))
+    def run(argvs):
+        build, decode = argvs
+        assert assert_clean_exit(build, alarm=5)[0] == 0
+        status, out = assert_clean_exit(decode, alarm=5)
+        if status == 0:
+            code = aecc.parse_code_file((folder / "code.txt").read_text())
+            received = [int(c) for c in (folder / "profile.txt").read_text().split("\n")[1].split()]
+            codeword = [int(c) for c in grab(out, "codeword").split()]
+            assert code.is_member(codeword)
+            errors = [c - r for c, r in zip(codeword, received)]
+            assert min(errors) >= 0 and sum(errors) <= int(decode[-1])
+
+    run()
+
+
+def test_code_decode_past_the_guard_exits_3(tmp_path):
+    # a 256-symbol code whose syndrome no error of weight <= 2 reaches: the
+    # C(259, 3) - C(257, 1) patterns past weight 1 through weight 3 exceed
+    # the cube guard, so weight 3 is refused instead of searched
+    code_path = tmp_path / "code.txt"
+    run_cli("code-build", "--length", "256", "--d", "1", "--p", "1000003",
+            "--out", str(code_path))
+    rng = random.Random(1)
+    counts = [rng.randint(0, 2) for _ in range(256)]
+    profile_path = tmp_path / "profile.txt"
+    profile_path.write_text(format_profile_file(counts, full_gram_set(2, 8), 300))
+    argv = ["code-decode", "--code", str(code_path), "--profile", str(profile_path)]
+    assert assert_clean_exit(argv + ["--max-weight", "2"], alarm=5)[0] == 3
+    status, out = assert_clean_exit(argv + ["--max-weight", "5"], alarm=5)
+    assert status == 3 and "codeword" not in out

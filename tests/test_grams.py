@@ -8,7 +8,6 @@ from gramcode.grams import (
     ChannelBudget,
     CubeTooLarge,
     OutOfSetGramError,
-    asym_distance,
     build_weight_set,
     dna_string,
     explicit_gram_set,
@@ -20,6 +19,7 @@ from gramcode.grams import (
     word,
     word_text,
 )
+from oracles import asym_distance
 
 
 def rank(s, gram):
@@ -157,6 +157,7 @@ def test_profile_sum_exhaustive_small_words():
 def test_asym_distance_values():
     assert asym_distance((3, 0), (3, 0)) == 0
     assert asym_distance((3, 0), (1, 2)) == 2
+    assert grams.nearest_row([(3, 0)], (1, 2)) == (0, 2, False)
     with pytest.raises(ValueError):
         asym_distance((1, 2), (1, 2, 3))
 

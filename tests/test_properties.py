@@ -26,10 +26,10 @@ from gramcode.grams import (
     ChannelBudget,
     OutOfSetGramError,
     Word,
-    asym_distance,
     build_weight_set,
     explicit_gram_set,
     full_gram_set,
+    nearest_row,
     profile,
 )
 from gramcode.graphs import (
@@ -54,6 +54,7 @@ from gramcode.lattice import (
     fit_quasipolynomial,
 )
 from oracles import (
+    asym_distance,
     cube_index,
     cycle_arcs,
     decode_outcome,
@@ -326,8 +327,10 @@ def test_asym_distance_is_the_larger_one_sided_sum(n, data):
     up = sum(a - b for a, b in zip(u, v) if a > b)
     down = sum(b - a for a, b in zip(u, v) if b > a)
     assert asym_distance(u, v) == max(up, down)
+    # the library measures it as nearest_row on one row
+    assert nearest_row([u], v) == (0, max(up, down), False)
     with pytest.raises(ValueError, match="length mismatch"):
-        asym_distance(u, v + [0])
+        nearest_row([u], v + [0])
 
 
 # Word profiles of each length over two small sets: rows that

@@ -5,7 +5,6 @@ from source_walk import parsed_sources
 # Paper results that acceptance criteria and unit tests check, and the
 # trace replay path: kept in the library without a caller of their own.
 ALLOWED = {
-    "asym_distance",
     "code_size_ambient",
     "cycle_decomposition",
     "format_profile_file",
