@@ -220,18 +220,34 @@ def decode_bounded(code: VarshamovCode, received, max_weight: int):
 
 
 def _search_weight(code: VarshamovCode, received, w: int):
-    """The codeword received + e over the errors e of weight w, or None; two raise AmbiguousDecode."""
+    """The codeword received + e over the errors e of weight w, or None; two raise AmbiguousDecode.
+
+    Each e is its support, a multiset of positions in
+    combinations_with_replacement order.  received + e is a member when
+    the support's columns of H add up to beta - H received mod p, row by
+    row, the first row checked alone first, and every negative entry of
+    received is raised to 0 or more by the support.  Only a hit is built.
+    """
+    p = code.p
+    (first, need), *rest = [(row, (b - s) % p) for row, b, s
+                            in zip(code.rows, code.beta, code.syndrome(received))]
+    short = [i for i, r in enumerate(received) if r < 0]
     hits = []
     for support in combinations_with_replacement(range(code.length), w):
+        if sum(map(first.__getitem__, support)) % p != need:
+            continue
+        if any(sum(map(row.__getitem__, support)) % p != r for row, r in rest):
+            continue
+        if any(received[i] + support.count(i) < 0 for i in short):
+            continue
         candidate = list(received)
         for i in support:
             candidate[i] += 1
-        if code.is_member(candidate):
-            hits.append(tuple(candidate))
-            if len(hits) > 1:
-                raise AmbiguousDecode(
-                    f"two codewords at error weight {w}: {hits[0]} and {hits[1]}"
-                )
+        hits.append(tuple(candidate))
+        if len(hits) > 1:
+            raise AmbiguousDecode(
+                f"two codewords at error weight {w}: {hits[0]} and {hits[1]}"
+            )
     return hits[0] if hits else None
 
 

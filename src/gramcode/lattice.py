@@ -46,7 +46,10 @@ prefixes at the outer level.  _plan picks the engine.
 Without a block the plan reads the total only into its remaining
 total, and the fold tail reads only the graph's levels, so counts of
 one graph at many totals (a fit's samples, in both modes) share one
-plan per mode and one tail.
+plan per mode and one tail, and are counted together: the frontier is
+seeded with one state per sample, and equal states from different
+totals or modes merge, each folded once, with one multiplicity per
+sample.
 
 Counts at dilations M = lam * t + r are interpolated into
 exact-rational polynomials in t, recovering leading coefficients of
@@ -116,7 +119,8 @@ def flow_system_for_words(graph, n, mode="F", congruence=None) -> FlowSystem:
 # The presolved system that _plan hands to both engines; _plan names the fields.
 _Plan = namedtuple(
     "_Plan",
-    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow outer fold",
+    "levels total targets pinned pin_weight pin_terms pin_const shift block pivots narrow tie "
+    "outer fold",
 )
 
 
@@ -167,12 +171,22 @@ def _plan(system: FlowSystem) -> _Plan:
     frontier alone.  The DFS searches one dimension per decision level,
     less the pinned one.
     The frontier count is chosen when the widest level boundary is
-    narrower than that (full 3 2: 3 against 6), and never for a system
-    with a block; the DFS counts every other system (full 2 3: 4
-    against 4; weight 2 4 1 2 3: 6 against 3) and every enumeration.
-    The frontier at a level holds at most as many states as the DFS has
-    prefixes there, so a system whose frontier outgrows memory is one
-    the DFS could not finish either.
+    narrower than that (full 3 2: 3 against 6; narrow), and never for a
+    system with a block.  When two or more samples of one graph are
+    counted together (_count_samples), a tie (full 2 3: 4 against 4;
+    tie) goes to the frontier too, since states from different totals
+    and modes merge.  Over 646 random fits at their period L <= 12
+    (explicit sets with q, ell <= 3 and at most 12 grams, one CPython
+    3.11 process on a 2-core VM), the 399 tie fits took 124-128 ms in
+    one frontier pass against 198-205 ms by the DFS per sample, and the
+    247 narrow fits 597-614 ms in one pass against 952-981 ms in one
+    frontier pass per sample; but one tie count alone took 211-224 ms on
+    the frontier against 198-205 ms by the DFS over those 1779 counts,
+    so a single count keeps the strict rule.  The DFS counts
+    every other system (weight 2 4 1 2 3: 6 against 3) and every
+    enumeration.  The frontier at a level holds at most as many states
+    as the DFS has prefixes there, so a system whose frontier outgrows
+    memory is one the DFS could not finish either.
 
     The pass also finds where both counting engines stop.  The *free*
     decisions are the decisions less the pinned one; the last is the
@@ -189,8 +203,8 @@ def _plan(system: FlowSystem) -> _Plan:
     itself (one pass), and the scan hands the fold level's residue to
     _fold_count; otherwise every pivot lies before the outer level and
     the tail is folded as without a block.  A narrow plan always has two
-    free decisions, since narrow needs a block-free plan whose search
-    dimensions outnumber a width of at least 1.
+    free decisions, and a tie at least one, since both need a block-free
+    plan whose search dimensions reach a width of at least 1.
 
     Returns a _Plan.  levels[i] = (a, b, a_in_done, a_out_done,
     b_in_done, b_out_done).  total and targets are what is left after
@@ -200,8 +214,9 @@ def _plan(system: FlowSystem) -> _Plan:
     None.  pinned is the pinned level, or -1.  The pinned value is
     rem - pin_const minus w * (value of level j) for each (j, w) in
     pin_terms, divided by pin_weight.  pivots is the result of
-    _block_pivots, or {} without a block.  narrow says whether
-    count_points counts by merged frontier states.  outer and fold are
+    _block_pivots, or {} without a block.  narrow says whether one
+    count goes to the merged frontier, and tie whether two or more
+    samples counted together do when it does not.  outer and fold are
     the outer and the fold level, both -1 without a fold level.
     """
     graph = system.graph
@@ -271,10 +286,11 @@ def _plan(system: FlowSystem) -> _Plan:
     if pivots is None or pinned in pivots:
         free = []  # no point, or a class left to the pinned level: scan every point
     narrow = not block and width < len(free)
+    tie = not block and width == len(free)
     fold = free[-1] if free else -1
     outer = free[-2] if len(free) > 1 and pivots.keys().isdisjoint(free[-2:]) else fold
     return _Plan(levels, total, targets, pinned, pin_weight, pin_terms, pin_const,
-                 shift, block, pivots, narrow, outer, fold)
+                 shift, block, pivots, narrow, tie, outer, fold)
 
 
 def _fold_tail(plan: _Plan):
@@ -640,28 +656,36 @@ def _scan(plan: _Plan, tail=None):
             step = None
 
 
-def _count_frontier(plan: _Plan, tail) -> int:
-    """Count the points level by level, merging equal partial flows.
+def _count_frontier(plan: _Plan, tail, seeds) -> list[int]:
+    """Count the points of each seed level by level, merging equal partial flows.
 
     Walks _plan's levels up to its outer level and applies _scan's
     rules to every state at once: the done-side bounds and the npos + c
     > rem cut.  A state is the DFS's own: rem and every node's missing
     balance miss, as the tuple (rem, *miss); a value c moves c units
     from node b to node a, so a loop adds and subtracts c on one entry.
-    The later levels and tail's rows read nothing else, so equal states
-    are kept once, with their multiplicity.  At a level every closed
-    node has balance 0 and every untouched node its target, so two
-    states that agree on the open nodes agree on every node: the level
-    keeps one state per distinct rem and open balances.  _fold_count
-    counts each state that enters the outer level as the DFS counts a
-    prefix there.  plan is narrow (see _plan: it
-    has two free decisions and no block), and tail is its _fold_tail.
+    Each seed is one sample's state before the first level: its shifted
+    total and its mode's targets.  The later levels and tail's rows read
+    nothing but the state, so equal states are kept once, whichever
+    seeds they came from, with one multiplicity per seed.  At a level
+    every closed node has balance 0 and every untouched node its
+    target, so two states of one seed that agree on the open nodes
+    agree on every node.  _fold_count counts each state that enters the
+    outer level once, as the DFS counts a prefix there, and each seed
+    gets that count times its multiplicity.  plan has a fold level and
+    no block, tail is its _fold_tail, and the plans of every seed share
+    plan's levels and outer level.
+
+    Returns the seeds' counts, in order; a seed with a negative total
+    counts 0.
     """
-    total = plan.total
-    states = {(total, *plan.targets): 1} if total >= 0 else {}  # a negative total has no points
+    states = {}
+    for slot, seed in enumerate(seeds):
+        if seed[0] >= 0:  # a negative total has no points
+            states.setdefault(seed, [0] * len(seeds))[slot] += 1
     for a, b, a_in, a_out, b_in, b_out in plan.levels[: plan.outer]:
         nxt = {}
-        for (rem, *miss), mult in states.items():
+        for (rem, *miss), mults in states.items():
             ma, mb = miss[a], miss[b]
             lo, hi = 0, rem
             if a_in:
@@ -683,25 +707,39 @@ def _count_frontier(plan: _Plan, tail) -> int:
                 if rest + (ma if ma > 0 else 0) + (mb if mb > 0 else 0) + c > rem:
                     break
                 state = (rem - c, *miss)
-                nxt[state] = nxt.get(state, 0) + mult
+                have = nxt.get(state)
+                # a merge builds a new list: the parent's list may be shared
+                nxt[state] = mults if have is None else [x + y for x, y in zip(have, mults)]
                 miss[a] += 1
                 miss[b] -= 1
         states = nxt
-    return sum(mult * _fold_count(tail, rem, miss) for (rem, *miss), mult in states.items())
+    counts = [0] * len(seeds)
+    for (rem, *miss), mults in states.items():
+        points = _fold_count(tail, rem, miss)
+        if points:
+            for slot, mult in enumerate(mults):
+                counts[slot] += points * mult
+    return counts
 
 
-def _count(plan: _Plan, tail) -> int:
-    """Number of points of a planned system; tail is its _fold_tail, or None.
+def _count(plans, tail) -> list[int]:
+    """Numbers of points of planned systems that share one graph's levels.
 
-    Without a fold level the DFS (_scan) visits every point; otherwise
-    the engine the plan picks, merged frontier states (_count_frontier)
-    or the DFS, stops at the outer level and counts the rest by tail.
+    tail is their _fold_tail, or None.  Without a fold level the DFS
+    (_scan) visits every point; otherwise the engine the plan picks
+    stops at the outer level and counts the rest by tail: merged
+    frontier states (_count_frontier), seeded with every plan's total
+    and targets, when the plan is narrow, or a tie and there are two or
+    more plans (see _plan); else the DFS once per plan.  Two or more
+    plans are block-free and differ only in total, targets, pin_const
+    and shift.
     """
+    plan = plans[0]
     if plan.fold < 0:
-        return sum(1 for _ in _scan(plan))
-    if plan.narrow:
-        return _count_frontier(plan, tail)
-    return sum(_scan(plan, tail))
+        return [sum(1 for _ in _scan(p)) for p in plans]
+    if plan.narrow or (plan.tie and len(plans) > 1):
+        return _count_frontier(plan, tail, [(p.total, *p.targets) for p in plans])
+    return [sum(_scan(p, tail)) for p in plans]
 
 
 def count_points(system: FlowSystem) -> int:
@@ -715,35 +753,30 @@ def count_points(system: FlowSystem) -> int:
     DFS, and folds unless it makes the pinned level a pivot.
     """
     plan = _plan(system)
-    return _count(plan, _fold_tail(plan) if plan.fold >= 0 else None)
+    return _count([plan], _fold_tail(plan) if plan.fold >= 0 else None)[0]
 
 
-def _graph_counter(graph: DeBruijnGraph):
-    """count(m, mode), equal to count_points(FlowSystem(graph, m, mode)), for many m.
+def _count_samples(graph: DeBruijnGraph, samples) -> list[int]:
+    """[count_points(FlowSystem(graph, m, mode)) for m, mode in samples], in one pass.
 
     Without a block a plan reads the total only into plan.total, so
     each mode is planned once, at the total 0, and the total m is
-    counted with plan.total = m - shift * |E|.  The levels, the
-    decisions, the pinned, outer and fold levels and narrow depend on
-    the graph alone; the modes differ only in total, targets, pin_const
-    and shift.  The tail reads none of those (the state holds the
-    targets), so the first plan's tail serves both modes.  A block would
-    make the pivots depend on the total, so the counter takes none, and
-    nothing outlives the counter.
+    counted with plan.total = m - shift * |E|, which may be negative.
+    The levels, the decisions, the pinned, outer and fold levels, narrow
+    and tie depend on the graph alone; the modes differ only in total,
+    targets, pin_const and shift.  The tail reads none of those (the
+    state holds the targets), so one tail serves both modes, and the
+    frontier merges the states of every sample in one pass.  A block
+    would make the pivots depend on the total, so samples take none.
     """
-    plans = {}
-    tail = None
-
-    def count(m, mode):
-        nonlocal tail
-        if mode not in plans:
-            plans[mode] = _plan(FlowSystem(graph, 0, mode))
-            if tail is None and plans[mode].fold >= 0:
-                tail = _fold_tail(plans[mode])
-        plan = plans[mode]
-        return _count(plan._replace(total=m - plan.shift * graph.n_arcs), tail)
-
-    return count
+    modes = dict.fromkeys(mode for _, mode in samples)
+    plans = {mode: _plan(FlowSystem(graph, 0, mode)) for mode in modes}
+    if not plans:
+        return []
+    planned = [plans[mode]._replace(total=m - plans[mode].shift * graph.n_arcs)
+               for m, mode in samples]
+    plan = planned[0]
+    return _count(planned, _fold_tail(plan) if plan.fold >= 0 else None)
 
 
 def enumerate_points(system: FlowSystem):
@@ -895,8 +928,10 @@ def fit_quasipolynomial(
     count is the only check of the period.
 
     Every count of the fit, the other mode's and the class fits' too,
-    goes through one _graph_counter: each mode is planned once and the
-    graph's fold tail compiled once.  Nothing is kept between calls.
+    is one sample of a single _count_samples call: each mode is planned
+    once, the graph's fold tail compiled once, and on the frontier the
+    partial flows of every sample merge in one pass.  Nothing is kept
+    between calls.
     """
     if degree < 0 or lam < 1:
         raise ValueError(f"need degree >= 0 and lambda >= 1, got {degree} and {lam}")
@@ -917,41 +952,37 @@ def fit_quasipolynomial(
         ts = range(first, first + fitted + 2)
     lowest = 1 if mode == "E" else 0
     other = "F" if mode == "E" else "E"
-    count = _graph_counter(graph)
-
-    def fit(lam, residue):
-        """The polynomial through the counts at ts but the last, checked there."""
-        counts = []
-        for t in ts:
-            m = lam * t + residue
-            if m >= lowest:
-                counts.append(count(m, mode))
-            else:
-                counts.append((-1) ** dim * count(-m, other))
-        poly = QuasiPolynomial(fitted, lam, residue, mode, _interpolate(ts[0], counts[:-1]), ts[-1])
-        predicted = poly.evaluate(ts[-1])
-        if predicted != counts[-1]:
-            raise FitMismatch(
-                f"held-out count at t={ts[-1]} is {counts[-1]}, fit predicts {predicted}"
-            )
-        return poly
-
-    coeffs = fit(lam, residue).coeffs
     try:
         period = lcm(*simple_cycle_lengths(graph))
     except SearchBudgetExceeded:
         period = lam  # L unknown: the held-out count stays the only check
+    g = gcd(lam, period)
+    dilations = [(lam, residue)]
     if lam % period:
-        g = gcd(lam, period)
-        classes = [fit(period, r) for r in range(residue % g, period, g)]
-        # each class's values at M = 0..fitted fix it as a polynomial in M
-        in_m = [[c.evaluate(Fraction(m - c.residue, period)) for m in range(fitted + 1)]
-                for c in classes]
-        if any(values != in_m[0] for values in in_m):
-            raise FitMismatch(
-                f"lambda {lam} is not a period: the classes M = {residue % g} (mod {g}) "
-                f"of the proven period {period} are not one polynomial in M"
-            )
+        dilations += [(period, r) for r in range(residue % g, period, g)]
+    # every fit's totals, in one call; those below lowest are counted past reciprocity
+    ms = [step * t + start for step, start in dilations for t in ts]
+    counts = _count_samples(graph, [(m, mode) if m >= lowest else (-m, other) for m in ms])
+    counts = [n if m >= lowest else (-1) ** dim * n for m, n in zip(ms, counts)]
+
+    def fit(k):
+        """The polynomial of dilations[k] through its counts at ts but the last, checked there."""
+        ys = counts[k * len(ts) : (k + 1) * len(ts)]
+        poly = QuasiPolynomial(fitted, *dilations[k], mode, _interpolate(ts[0], ys[:-1]), ts[-1])
+        predicted = poly.evaluate(ts[-1])
+        if predicted != ys[-1]:
+            raise FitMismatch(f"held-out count at t={ts[-1]} is {ys[-1]}, fit predicts {predicted}")
+        return poly
+
+    coeffs = fit(0).coeffs
+    # each class's values at M = 0..fitted fix it as a polynomial in M
+    in_m = [[c.evaluate(Fraction(m - c.residue, period)) for m in range(fitted + 1)]
+            for c in map(fit, range(1, len(dilations)))]
+    if any(values != in_m[0] for values in in_m):
+        raise FitMismatch(
+            f"lambda {lam} is not a period: the classes M = {residue % g} (mod {g}) "
+            f"of the proven period {period} are not one polynomial in M"
+        )
     if any(coeffs[degree + 1 :]):
         top = max(k for k, c in enumerate(coeffs) if c)
         raise FitMismatch(
@@ -975,13 +1006,7 @@ def reciprocity_check(f_poly: QuasiPolynomial, e_poly: QuasiPolynomial) -> bool:
 
 
 def monotonicity_check(s: GramSet, m_max: int) -> bool:
-    """Mode-F count_points nondecreasing in the total for M = 1..m_max."""
-    count = _graph_counter(build_graph(s))
-    prev = count(1, "F")
-    for m in range(2, m_max + 1):
-        cur = count(m, "F")
-        if cur < prev:
-            return False
-        prev = cur
-    return True
+    """Mode-F count_points nondecreasing in the total for M = 1..m_max, counted in one pass."""
+    counts = _count_samples(build_graph(s), [(m, "F") for m in range(1, m_max + 1)])
+    return all(a <= b for a, b in zip(counts, counts[1:]))
 

@@ -64,7 +64,9 @@ BLOCK_FOLD_COUNTS = (
 GRAPH_COUNTS = (
     "tests/test_lattice.py::test_fit_plans_each_mode_once",
     "tests/test_lattice.py::test_plans_and_tails_do_not_depend_on_the_mode",
+    "tests/test_properties.py::test_every_sample_counts_as_its_own_system",
 )
+SEEDED_COUNTS = ("tests/test_properties.py::test_every_sample_counts_as_its_own_system",)
 # cmd_roundtrip's two readouts and the rank preset's setup between them
 SYSTEMATIC_READOUT = """\
             emit("observed", observed)
@@ -105,6 +107,19 @@ MUTANTS = (
            "for c in range(lo, hi + 1):",
            "for c in range(lo, hi):",
            FRONTIER_COUNTS),
+    # the frontier's seeds, one per sample
+    Mutant("merged state keeps only the first seed's multiplicity", LATTICE,
+           "[x + y for x, y in zip(have, mults)]",
+           "[have[0] + mults[0], *have[1:]]",
+           SEEDED_COUNTS),
+    Mutant("seed's count lands in the slot before its own", LATTICE,
+           "counts[slot] += points * mult",
+           "counts[slot - 1] += points * mult",
+           SEEDED_COUNTS),
+    Mutant("both modes seeded with the first sample's targets", LATTICE,
+           "[(p.total, *p.targets) for p in plans]",
+           "[(p.total, *plan.targets) for p in plans]",
+           SEEDED_COUNTS),
     # the two-level fold (_fold_tail and _fold_count)
     Mutant("fold moves each row against its c1 coefficient", LATTICE,
            "x += alpha * c1",
@@ -157,22 +172,22 @@ MUTANTS = (
            BLOCK_FOLD_COUNTS),
     # the fit
     Mutant("reciprocity sign forced to +1", LATTICE,
-           "counts.append((-1) ** dim * count(-m, other))",
-           "counts.append(count(-m, other))",
+           "n if m >= lowest else (-1) ** dim * n",
+           "n",
            ("tests/test_properties.py::test_fit_matches_the_same_mode_fit",
             "tests/test_cli.py::test_fit_output_is_golden_but_for_the_held_out_t")),
-    # one plan per mode for a graph's many totals (_graph_counter)
-    Mutant("counter keeps the total its plan was built at", LATTICE,
-           "return _count(plan._replace(total=m - plan.shift * graph.n_arcs), tail)",
-           "return _count(plan, tail)",
+    # one plan per mode for a graph's many samples (_count_samples)
+    Mutant("samples keep the total their plan was built at", LATTICE,
+           "._replace(total=m - plans[mode].shift * graph.n_arcs)",
+           "._replace()",
            GRAPH_COUNTS),
-    Mutant("counter's total forgets the mode-E shift", LATTICE,
-           "total=m - plan.shift * graph.n_arcs",
+    Mutant("samples' totals forget the mode-E shift", LATTICE,
+           "total=m - plans[mode].shift * graph.n_arcs",
            "total=m",
            GRAPH_COUNTS),
-    Mutant("counter reuses one mode's plan for the other", LATTICE,
-           "plan = plans[mode]",
-           "plan = next(iter(plans.values()))",
+    Mutant("samples reuse the first mode's plan for the other", LATTICE,
+           "[plans[mode]._replace(",
+           "[next(iter(plans.values()))._replace(",
            GRAPH_COUNTS),
     Mutant("fit skips its period proof", LATTICE,
            "if lam % period:",
@@ -229,6 +244,10 @@ MUTANTS = (
            "if w <= max_weight and len(locator) == 1",
            "if len(locator) == 1",
            ("tests/test_properties.py::test_decode_bounded_matches_the_exhaustive_oracle",)),
+    Mutant("pattern search skips the negative received entries", AECC,
+           "if any(received[i] + support.count(i) < 0 for i in short):",
+           "if False:",
+           ("tests/test_aecc.py::test_pattern_search_matches_exhaustive_oracle",)),
     Mutant("pattern guard refuses a count at MAX_CUBE", AECC,
            "if patterns > MAX_CUBE:",
            "if patterns >= MAX_CUBE:",

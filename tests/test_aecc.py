@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -172,6 +172,40 @@ def test_decode_matches_exhaustive_oracle():
         assert decode_outcome(decode_bounded, code, received, max_weight) == expected
         kinds[expected if isinstance(expected, str) else "unique"] += 1
     assert kinds["unique"] and kinds["ambiguous"] and kinds["failure"], kinds
+
+
+def test_pattern_search_matches_exhaustive_oracle():
+    # weights past d, on received vectors with negative entries: the
+    # outcome is exhaustive_decode's, and an ambiguity names the first two
+    # codewords in combinations_with_replacement order
+    rng = random.Random(36)
+    kinds = Counter()
+    for _ in range(400):
+        p = rng.choice((5, 7, 11))
+        n, d = rng.randint(1, min(5, p - 1)), rng.randint(1, 2)
+        beta = [rng.randrange(p) for _ in range(d)]
+        code = build_code(p, rng.sample(range(1, p), n), d, beta)
+        received = tuple(rng.randint(-2, 3) for _ in range(n))
+        max_weight = rng.randint(d + 1, d + 4)
+        expected = decode_outcome(exhaustive_decode, code, received, max_weight)
+        try:
+            outcome = decode_bounded(code, received, max_weight)
+        except AmbiguousDecode as exc:
+            outcome = "ambiguous"
+            w = int(str(exc).split()[5].rstrip(":"))
+            members = [u for u in (tuple(r + e.count(i) for i, r in enumerate(received))
+                                   for e in combinations_with_replacement(range(n), w))
+                       if code.is_member(u)]
+            assert str(exc) == f"two codewords at error weight {w}: {members[0]} and {members[1]}"
+        except DecodeFailure:
+            outcome = "failure"
+        assert outcome == expected, (code, received, max_weight)
+        if isinstance(outcome, str):
+            kinds[outcome] += 1
+        elif sum(outcome) - sum(received) > d:
+            kinds["searched"] += 1
+            kinds["searched, negative"] += min(received) < 0
+    assert all(kinds[k] for k in ("searched", "searched, negative", "ambiguous", "failure")), kinds
 
 
 STORAGE_CODE = (41, range(1, 40), 3)

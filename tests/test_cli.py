@@ -657,14 +657,11 @@ def test_fit_fuzz_exits_cleanly(tmp_path_factory):
 def test_a_hung_fit_fails_its_fuzz(monkeypatch):
     # a count that never returns raises Hung at the alarm, where the
     # fuzz's deadline would wait for it
-    def hung_counter(graph):
-        def count(m, mode):
-            while True:
-                pass
+    def hung_count(graph, samples):
+        while True:
+            pass
 
-        return count
-
-    monkeypatch.setattr(lattice, "_graph_counter", hung_counter)
+    monkeypatch.setattr(lattice, "_count_samples", hung_count)
     with pytest.raises(Hung):
         assert_clean_exit(["fit", "--set", "full", "2", "2", "--degree", "2", "--lambda", "2"],
                           alarm=0.2)

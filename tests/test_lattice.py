@@ -80,17 +80,35 @@ def test_wide_full_cube_counts_binary_words():
 
 
 @pytest.mark.parametrize("mode", ["F", "E"])
-def test_count_engine_follows_the_plan(mode):
+def test_count_engine_follows_the_plan(monkeypatch, mode):
     # widest frontier against the DFS's search dimension: 3 vs 6 on
     # full 3 2, 4 vs 4 on full 2 3, 6 vs 3 on weight 2 4 1 2 3
-    for s in (S32, full_gram_set(4, 2)):
-        assert _plan(FlowSystem(build_graph(s), 12, mode)).narrow
-    for s in (S23, SW):
-        assert not _plan(FlowSystem(build_graph(s), 12, mode)).narrow
+    shapes = [(p.narrow, p.tie) for p in (_plan(FlowSystem(build_graph(s), 12, mode))
+                                          for s in (S32, full_gram_set(4, 2), S23, SW))]
+    assert shapes == [(True, False), (True, False), (False, True), (False, False)]
     # a congruence block always keeps the DFS
     g = build_graph(S32)
     block = CongruenceBlock((tuple(range(1, g.n_arcs + 1)),), 5, (2,))
-    assert not _plan(FlowSystem(g, 12, mode, block)).narrow
+    plan = _plan(FlowSystem(g, 12, mode, block))
+    assert not plan.narrow and not plan.tie
+    # one count goes to the frontier when narrow, two or more samples on a tie too
+    seeded = []
+    frontier = lattice._count_frontier
+
+    def recorded(plan, tail, seeds):
+        seeded.append(len(seeds))
+        return frontier(plan, tail, seeds)
+
+    monkeypatch.setattr(lattice, "_count_frontier", recorded)
+    for s, one, two in ((S32, [1], [2]), (S23, [], [2]), (SW, [], [])):
+        graph = build_graph(s)
+        seeded.clear()
+        count_points(FlowSystem(graph, 12, mode))
+        lattice._count_samples(graph, [(12, mode)])
+        assert seeded == one + one, s
+        seeded.clear()
+        lattice._count_samples(graph, [(12, mode), (13, "F")])
+        assert seeded == two, s
 
 
 def test_count_plans_once(monkeypatch):
@@ -124,11 +142,13 @@ def test_count_stops_at_the_outer_level(monkeypatch):
     assert len(calls) == 91
 
 
-@pytest.mark.parametrize("s, m, mode", [(S32, 24, "E"), (full_gram_set(4, 2), 12, "F")],
+@pytest.mark.parametrize("s, samples", [(S32, [(24, "E"), (24, "F"), (18, "E"), (24, "E")]),
+                                        (full_gram_set(4, 2), [(12, "F"), (20, "E")])],
                          ids=["full 3 2", "full 4 2"])
-def test_frontier_merges_exactly_the_scan_states(monkeypatch, s, m, mode):
-    # each merged state reaches the outer level once, and the states are
-    # the (rem, miss) with which the DFS's prefixes enter it
+def test_frontier_merges_exactly_the_scan_states(monkeypatch, s, samples):
+    # each merged state reaches the outer level once, whichever samples
+    # it comes from, and the states are the (rem, miss) with which the
+    # DFS's prefixes of every sample enter it
     calls = []
     fold_count = lattice._fold_count
 
@@ -137,13 +157,14 @@ def test_frontier_merges_exactly_the_scan_states(monkeypatch, s, m, mode):
         return fold_count(tail, rem, miss, pivot)
 
     monkeypatch.setattr(lattice, "_fold_count", recorded)
-    plan = _plan(FlowSystem(build_graph(s), m, mode))
-    assert plan.narrow
-    tail = lattice._fold_tail(plan)
-    count = lattice._count_frontier(plan, tail)
+    graph = build_graph(s)
+    plans = [_plan(FlowSystem(graph, m, mode)) for m, mode in samples]
+    assert plans[0].narrow
+    tail = lattice._fold_tail(plans[0])
+    counts = lattice._count_frontier(plans[0], tail, [(p.total, *p.targets) for p in plans])
     merged = list(calls)
     calls.clear()
-    assert sum(lattice._scan(plan, tail)) == count
+    assert counts == [sum(lattice._scan(p, tail)) for p in plans]
     assert len(set(merged)) == len(merged)
     assert set(merged) == set(calls)
 
@@ -492,7 +513,7 @@ def test_fit_samples_the_smallest_dilations(table_fits):
 
 
 def record_builds(monkeypatch):
-    """Record each _plan and _fold_tail call and each counter's (m, mode, count)."""
+    """Record each _plan and _fold_tail call and each _count_samples call's (m, mode, count)s."""
     builds = {"_plan": [], "_fold_tail": [], "samples": []}
     for name in ("_plan", "_fold_tail"):
         build = getattr(lattice, name)
@@ -502,42 +523,39 @@ def record_builds(monkeypatch):
             return build(plan_or_system)
 
         monkeypatch.setattr(lattice, name, recorded)
-    graph_counter = lattice._graph_counter
+    count_samples = lattice._count_samples
 
-    def recorded_counter(graph):
-        count = graph_counter(graph)
+    def recorded_samples(graph, samples):
+        counts = count_samples(graph, samples)
+        builds["samples"].append([(graph, m, mode, n) for (m, mode), n in zip(samples, counts)])
+        return counts
 
-        def recorded_count(m, mode):
-            result = count(m, mode)
-            builds["samples"].append((graph, m, mode, result))
-            return result
-
-        return recorded_count
-
-    monkeypatch.setattr(lattice, "_graph_counter", recorded_counter)
+    monkeypatch.setattr(lattice, "_count_samples", recorded_samples)
     return builds
 
 
 @pytest.mark.parametrize("mode", ["F", "E"])
 def test_fit_plans_each_mode_once(monkeypatch, mode):
     # c(2,3): the fit's own samples and the other mode's past reciprocity
-    # share one plan per mode and one tail; at lambda 8, which L = 12 does
-    # not divide, the three class fits at period 12 share them too
+    # are counted in one call, with one plan per mode and one tail; at
+    # lambda 8, which L = 12 does not divide, the three class fits at
+    # period 12 are counted in that same call
     builds = record_builds(monkeypatch)
     fit_quasipolynomial(S23, 4, 12, mode)
     assert [s.mode for s in builds["_plan"]] == (["E", "F"] if mode == "F" else ["F", "E"])
     assert len(builds["_fold_tail"]) == 1
-    assert len(builds["samples"]) == 6
-    fit_samples = list(builds["samples"])
+    [fit_samples] = builds["samples"]
+    assert len(fit_samples) == 6
     for calls in builds.values():
         calls.clear()
     with pytest.raises(FitMismatch, match="lambda 8 is not a period"):
         fit_quasipolynomial(S23, 4, 8, mode)
     assert sorted(s.mode for s in builds["_plan"]) == ["E", "F"]
     assert len(builds["_fold_tail"]) == 1
-    assert len(builds["samples"]) == 4 * 6
+    [class_samples] = builds["samples"]
+    assert len(class_samples) == 4 * 6
     monkeypatch.undo()
-    for graph, m, sample_mode, count in fit_samples + builds["samples"]:
+    for graph, m, sample_mode, count in fit_samples + class_samples:
         assert count == count_points(FlowSystem(graph, m, sample_mode))
 
 
@@ -545,7 +563,8 @@ def test_monotonicity_check_plans_once(monkeypatch):
     builds = record_builds(monkeypatch)
     assert monotonicity_check(S23, 12)
     assert len(builds["_plan"]) == len(builds["_fold_tail"]) == 1
-    assert [m for _, m, _, _ in builds["samples"]] == list(range(1, 13))
+    [samples] = builds["samples"]
+    assert [(m, mode) for _, m, mode, _ in samples] == [(m, "F") for m in range(1, 13)]
 
 
 def invariance_sets():
@@ -562,20 +581,22 @@ def invariance_sets():
 
 def test_plans_and_tails_do_not_depend_on_the_mode():
     # a block-free plan's levels, decisions and tail are the graph's, so
-    # _graph_counter plans each mode once and shares one tail
+    # _count_samples plans each mode once and shares one tail
     folded = 0
     for s in invariance_sets():
         graph = build_graph(s)
         f_plan, e_plan = (_plan(FlowSystem(graph, 0, mode)) for mode in "FE")
-        for field in ("levels", "pinned", "pin_weight", "pin_terms", "outer", "fold", "narrow"):
+        for field in ("levels", "pinned", "pin_weight", "pin_terms", "outer", "fold", "narrow",
+                      "tie"):
             assert getattr(f_plan, field) == getattr(e_plan, field), (s, field)
         if f_plan.fold >= 0:
             assert lattice._fold_tail(f_plan) == lattice._fold_tail(e_plan), s
             folded += 1
-        count = lattice._graph_counter(graph)
-        for m in range(16 if graph.n_arcs <= 12 else 8):  # the larger Table sets to M = 7
-            for mode in "FE":
-                assert count(m, mode) == count_points(FlowSystem(graph, m, mode)), (s, m, mode)
+        top = 16 if graph.n_arcs <= 12 else 8  # the larger Table sets to M = 7
+        samples = [(m, mode) for m in range(top) for mode in "FE"]
+        counts = lattice._count_samples(graph, samples)
+        for (m, mode), count in zip(samples, counts):
+            assert count == count_points(FlowSystem(graph, m, mode)), (s, m, mode)
     assert folded >= 150
 
 

@@ -44,6 +44,7 @@ from gramcode.lattice import (
     FitMismatch,
     FlowSystem,
     _count_frontier,
+    _count_samples,
     _fold_tail,
     _interpolate,
     _plan,
@@ -498,8 +499,9 @@ def test_frontier_count_matches_the_scan(s, mode, data):
     system = _small_system(s, mode, data)
     frontier = _frontier_count(system)
     if frontier is None:
-        # the frontier stops at the outer level, so a plan without one is never narrow
-        assert not _plan(system).narrow
+        # the frontier stops at the outer level, so a plan without one is never narrow or a tie
+        plan = _plan(system)
+        assert not plan.narrow and not plan.tie
     else:
         assert frontier == len(enumerate_points(system))
 
@@ -513,7 +515,50 @@ def _folded_count(system):
 def _frontier_count(system):
     """The frontier's count, whatever the plan's engine, or None without a fold level."""
     plan = _plan(system)
-    return _count_frontier(plan, _fold_tail(plan)) if plan.fold >= 0 else None
+    if plan.fold < 0:
+        return None
+    [count] = _count_frontier(plan, _fold_tail(plan), [(plan.total, *plan.targets)])
+    return count
+
+
+@st.composite
+def sample_lists(draw):
+    """(graph, samples): a set with q, ell <= 3 and at most 12 grams, and
+    1 to 11 (m, mode) samples with m <= |E| + 12.
+
+    The set is 3 to 12 explicit grams or the grams of a cyclic word of 4
+    to 12 symbols; both are often unbalanced, so the modes' targets
+    differ.  The modes are mixed, some samples are repeats of others,
+    and a mode E total below |E| or at it leaves a negative or zero
+    shifted total.
+    """
+    q, ell = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    cube = full_gram_set(q, ell).grams
+    if draw(st.booleans()):
+        grams = draw(st.lists(st.sampled_from(cube), min_size=3, max_size=12, unique=True))
+    else:
+        word = draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=12))
+        wrapped = word * (ell + 1)
+        grams = {tuple(wrapped[i : i + ell]) for i in range(len(word))}
+    graph = build_graph(explicit_gram_set(q, ell, grams))
+    sample = st.tuples(st.integers(0, graph.n_arcs + 12), st.sampled_from("FE"))
+    samples = draw(st.lists(sample, min_size=1, max_size=8))
+    samples += draw(st.lists(st.sampled_from(samples), max_size=3))
+    return graph, draw(st.permutations(samples))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(sample_lists())
+def test_every_sample_counts_as_its_own_system(case):
+    # one pass over every sample, whichever engine the plan picks, and
+    # the frontier seeded with every sample whenever there is a fold level
+    graph, samples = case
+    counts = [count_points(FlowSystem(graph, m, mode)) for m, mode in samples]
+    assert _count_samples(graph, samples) == counts
+    plans = [_plan(FlowSystem(graph, m, mode)) for m, mode in samples]
+    if plans[0].fold >= 0:
+        seeds = [(p.total, *p.targets) for p in plans]
+        assert _count_frontier(plans[0], _fold_tail(plans[0]), seeds) == counts
 
 
 # (gram set, pin weight, outer level, fold level, pinned level) for each
